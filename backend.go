@@ -2,10 +2,8 @@ package rewire
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,102 +183,49 @@ type RetryOptions struct {
 // WithRetry wraps b with bounded-jitter exponential-backoff retries. Context
 // errors and ErrNoSuchUser are never retried; anything else is, unless it
 // declares itself permanent via `interface{ Temporary() bool }` (as the HTTP
-// driver's status errors do). Drivers with built-in retry (http) generally
-// do not need this wrapper — it exists for third-party backends that fail
-// transiently without one.
+// driver's status errors do). An error asking for a wait through
+// `interface{ RetryDelay() time.Duration }` (the HTTP driver's 429 and 5xx
+// errors carry the provider's Retry-After this way) lengthens the backoff
+// sleep to it; a wait longer than MaxDelay ends the retries at once with that
+// error. Drivers with built-in retry (http) generally do not need this
+// wrapper — it exists for third-party backends that fail transiently
+// without one. Only whole-batch failures are retried: per-id errors from
+// FetchPartial are final answers.
 func WithRetry(b Backend, o RetryOptions) Backend {
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 4
-	}
-	if o.BaseDelay <= 0 {
-		o.BaseDelay = 100 * time.Millisecond
-	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = 5 * time.Second
-	}
-	return &retryBackend{inner: b, partial: partialFetchFunc(b), opt: o}
+	return &retryBackend{inner: b, partial: partialFetchFunc(b), policy: osn.Backoff(o)}
 }
 
 type retryBackend struct {
 	inner   Backend
 	partial func(context.Context, []NodeID) ([][]NodeID, []error, error)
-	opt     RetryOptions
+	policy  osn.Backoff
 }
 
 func (r *retryBackend) Unwrap() Backend { return r.inner }
 
 func (r *retryBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, error) {
-	var lastErr error
-	for attempt := 1; attempt <= r.opt.MaxAttempts; attempt++ {
-		if err := r.wait(ctx, attempt); err != nil {
-			return nil, err
-		}
-		lists, err := r.inner.Fetch(ctx, ids)
-		if err == nil {
-			return lists, nil
-		}
-		if stop, serr := r.sieve(ctx, err); stop {
-			return nil, serr
-		}
-		lastErr = err
+	var lists [][]NodeID
+	err := r.policy.Retry(ctx, func() (err error) {
+		lists, err = r.inner.Fetch(ctx, ids)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("rewire: %d fetch attempts exhausted: %w", r.opt.MaxAttempts, lastErr)
+	return lists, nil
 }
 
-// FetchPartial applies the same retry policy to the per-id fetch path, so a
-// coalescing dispatcher probing through this wrapper still gets retries.
-// Only whole-batch failures are retried; per-id errors are final answers.
 func (r *retryBackend) FetchPartial(ctx context.Context, ids []NodeID) ([][]NodeID, []error, error) {
-	var lastErr error
-	for attempt := 1; attempt <= r.opt.MaxAttempts; attempt++ {
-		if err := r.wait(ctx, attempt); err != nil {
-			return nil, nil, err
-		}
-		lists, errs, err := r.partial(ctx, ids)
-		if err == nil {
-			return lists, errs, nil
-		}
-		if stop, serr := r.sieve(ctx, err); stop {
-			return nil, nil, serr
-		}
-		lastErr = err
+	var lists [][]NodeID
+	var errs []error
+	err := r.policy.Retry(ctx, func() (err error) {
+		lists, errs, err = r.partial(ctx, ids)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("rewire: %d fetch attempts exhausted: %w", r.opt.MaxAttempts, lastErr)
-}
-
-// wait sleeps out the backoff before attempt n (no-op for the first).
-func (r *retryBackend) wait(ctx context.Context, attempt int) error {
-	if attempt <= 1 {
-		return nil
-	}
-	d := r.opt.BaseDelay << (attempt - 2)
-	if d > r.opt.MaxDelay || d <= 0 {
-		d = r.opt.MaxDelay
-	}
-	d = d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
-	t := time.NewTimer(d)
-	select {
-	case <-ctx.Done():
-		t.Stop()
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// sieve classifies a Fetch error: stop (with the error to return) or retry.
-func (r *retryBackend) sieve(ctx context.Context, err error) (bool, error) {
-	if ctx.Err() != nil {
-		return true, ctx.Err()
-	}
-	if errors.Is(err, ErrNoSuchUser) {
-		return true, err
-	}
-	var tmp interface{ Temporary() bool }
-	if errors.As(err, &tmp) && !tmp.Temporary() {
-		return true, err
-	}
-	return false, nil
+	return lists, errs, nil
 }
 
 // WithRateLimit wraps b with a client-side token bucket: at most rps
@@ -433,15 +378,7 @@ func (mb *metricsBackend) Metrics() *BackendMetrics { return mb.m }
 func (mb *metricsBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, error) {
 	start := time.Now()
 	lists, err := mb.inner.Fetch(ctx, ids)
-	mb.m.fetches.Add(1)
-	mb.m.ids.Add(int64(len(ids)))
-	if len(ids) > 0 {
-		mb.m.sizeBuckets[batchSizeBucket(len(ids))].Add(1)
-	}
-	mb.m.nanos.Add(time.Since(start).Nanoseconds())
-	if err != nil {
-		mb.m.failures.Add(1)
-	}
+	mb.m.record(len(ids), start, err)
 	return lists, err
 }
 
@@ -451,14 +388,19 @@ func (mb *metricsBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, 
 func (mb *metricsBackend) FetchPartial(ctx context.Context, ids []NodeID) ([][]NodeID, []error, error) {
 	start := time.Now()
 	lists, errs, err := mb.partial(ctx, ids)
-	mb.m.fetches.Add(1)
-	mb.m.ids.Add(int64(len(ids)))
-	if len(ids) > 0 {
-		mb.m.sizeBuckets[batchSizeBucket(len(ids))].Add(1)
-	}
-	mb.m.nanos.Add(time.Since(start).Nanoseconds())
-	if err != nil {
-		mb.m.failures.Add(1)
-	}
+	mb.m.record(len(ids), start, err)
 	return lists, errs, err
+}
+
+// record meters one call of n ids that began at start and returned err.
+func (m *BackendMetrics) record(n int, start time.Time, err error) {
+	m.fetches.Add(1)
+	m.ids.Add(int64(n))
+	if n > 0 {
+		m.sizeBuckets[batchSizeBucket(n)].Add(1)
+	}
+	m.nanos.Add(time.Since(start).Nanoseconds())
+	if err != nil {
+		m.failures.Add(1)
+	}
 }

@@ -45,6 +45,9 @@ func (o *BatchingOptions) withDefaults() {
 // lists and errs are meaningless. The HTTP driver implements it over
 // POST /neighbors/batch; the coalescing dispatcher probes for it so one
 // walker demanding an unknown id never fails the strangers batched alongside.
+// The dispatcher and the middlewares (WithRetry, WithRateLimit, WithMetrics)
+// ask only the backend they wrap, not its Unwrap chain, so a middleware must
+// implement FetchPartial itself to pass per-id dispatch through.
 type PartialFetcher interface {
 	FetchPartial(ctx context.Context, ids []NodeID) ([][]NodeID, []error, error)
 }
@@ -116,8 +119,10 @@ func WithBatching(b Backend, o BatchingOptions) Backend {
 // PartialFetcher capability when it has one, else a fallback that keeps
 // Fetch's batch-wide contract but isolates ErrNoSuchUser failures with
 // single-id re-fetches so one unknown id cannot poison a coalesced batch.
+// Only b itself is asked, never its Unwrap chain: an inner backend's per-id
+// path would route every batch around a wrapper that implements only Fetch.
 func partialFetchFunc(b Backend) func(context.Context, []NodeID) ([][]NodeID, []error, error) {
-	if pf, ok := backendAs[PartialFetcher](b); ok {
+	if pf, ok := b.(PartialFetcher); ok {
 		return pf.FetchPartial
 	}
 	return func(ctx context.Context, ids []NodeID) ([][]NodeID, []error, error) {

@@ -233,9 +233,9 @@ func openMem(ctx context.Context, u *url.URL) (Backend, error) {
 }
 
 // simBackend serves a simulated restrictive provider (osn.Service) through
-// the driver contract and forwards its simulation telemetry, so a Provider
-// over it reports TotalQueries/SimulatedElapsed/RateLimitWaits exactly like
-// the Simulate compatibility constructor.
+// the driver contract. It backs both Simulate and the sim: driver;
+// BackendSource finds it on the chain and reads the service's simulation
+// telemetry (TotalQueries, SimulatedElapsed, RateLimitWaits) from it.
 type simBackend struct{ svc *osn.Service }
 
 func (b *simBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, error) {

@@ -38,18 +38,26 @@ func newFakeBackend() *fakeBackend {
 	}
 }
 
-func (f *fakeBackend) Fetch(ctx context.Context, ids []rewire.NodeID) ([][]rewire.NodeID, error) {
+// begin counts a call and plays the failure script: the call's error, if
+// the whole batch fails.
+func (f *fakeBackend) begin(ctx context.Context) error {
 	f.calls.Add(1)
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.fails > 0 {
 		f.fails--
-		f.mu.Unlock()
-		return nil, f.failErr
+		return f.failErr
 	}
-	f.mu.Unlock()
+	return nil
+}
+
+func (f *fakeBackend) Fetch(ctx context.Context, ids []rewire.NodeID) ([][]rewire.NodeID, error) {
+	if err := f.begin(ctx); err != nil {
+		return nil, err
+	}
 	out := make([][]rewire.NodeID, len(ids))
 	for i, v := range ids {
 		nbrs, ok := f.graph[v]
@@ -61,17 +69,42 @@ func (f *fakeBackend) Fetch(ctx context.Context, ids []rewire.NodeID) ([][]rewir
 	return out, nil
 }
 
+// partialFake is a fakeBackend with the PartialFetcher capability.
+type partialFake struct{ *fakeBackend }
+
+// FetchPartial is Fetch with per-id granularity: the failure script fails
+// whole batches, and an unknown id fails only its own slot.
+func (f partialFake) FetchPartial(ctx context.Context, ids []rewire.NodeID) ([][]rewire.NodeID, []error, error) {
+	if err := f.begin(ctx); err != nil {
+		return nil, nil, err
+	}
+	lists := make([][]rewire.NodeID, len(ids))
+	var errs []error
+	for i, v := range ids {
+		nbrs, ok := f.graph[v]
+		if !ok {
+			if errs == nil {
+				errs = make([]error, len(ids))
+			}
+			errs[i] = fmt.Errorf("%w: id %d", rewire.ErrNoSuchUser, v)
+			continue
+		}
+		lists[i] = slices.Clone(nbrs)
+	}
+	return lists, errs, nil
+}
+
 func (f *fakeBackend) NumUsers() int            { return f.users }
 func (f *fakeBackend) Hint(ids []rewire.NodeID) { f.hints.Add(int64(len(ids))) }
 func (f *fakeBackend) Close() error             { f.closed.Store(true); return nil }
 
 func TestOpenUnknownScheme(t *testing.T) {
 	ctx := context.Background()
-	if _, err := rewire.Open(ctx, "bogus:thing"); !errors.Is(err, rewire.ErrUnknownScheme) {
-		t.Fatalf("err = %v, want ErrUnknownScheme", err)
+	if _, err := rewire.Open(ctx, "bogus:thing"); !errors.Is(err, rewire.ErrUnknownDriver) {
+		t.Fatalf("err = %v, want ErrUnknownDriver", err)
 	}
-	if _, err := rewire.Open(ctx, "no-scheme-at-all"); !errors.Is(err, rewire.ErrUnknownScheme) {
-		t.Fatalf("err = %v, want ErrUnknownScheme", err)
+	if _, err := rewire.Open(ctx, "no-scheme-at-all"); !errors.Is(err, rewire.ErrUnknownDriver) {
+		t.Fatalf("err = %v, want ErrUnknownDriver", err)
 	}
 	for _, s := range []string{"mem", "sim", "http", "https", "snapshot"} {
 		if !slices.Contains(rewire.Drivers(), s) {
@@ -203,6 +236,205 @@ func TestWithMetricsCounts(t *testing.T) {
 	}
 }
 
+// TestMiddlewareFetchPartial pins each middleware's per-id fetch path — the
+// one a coalescing dispatcher drives — over a backend with native
+// FetchPartial. Id 99 is unknown: it fails its own slot, never the batch.
+func TestMiddlewareFetchPartial(t *testing.T) {
+	fast := rewire.RetryOptions{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	for _, tc := range []struct {
+		name string
+		wrap func(b rewire.Backend, m *rewire.BackendMetrics) rewire.Backend
+		run  func(t *testing.T, pf rewire.PartialFetcher, fb *fakeBackend, m *rewire.BackendMetrics)
+	}{
+		{
+			name: "retry/whole-batch failure retried",
+			wrap: func(b rewire.Backend, _ *rewire.BackendMetrics) rewire.Backend { return rewire.WithRetry(b, fast) },
+			run: func(t *testing.T, pf rewire.PartialFetcher, fb *fakeBackend, _ *rewire.BackendMetrics) {
+				fb.fails = 2
+				lists, errs, err := pf.FetchPartial(context.Background(), []rewire.NodeID{0, 99})
+				if err != nil || !slices.Equal(lists[0], []rewire.NodeID{1, 2}) || !errors.Is(errs[1], rewire.ErrNoSuchUser) {
+					t.Fatalf("FetchPartial = %v, %v, %v", lists, errs, err)
+				}
+				if c := fb.calls.Load(); c != 3 {
+					t.Fatalf("inner saw %d calls, want 3", c)
+				}
+			},
+		},
+		{
+			name: "retry/per-id error is final",
+			wrap: func(b rewire.Backend, _ *rewire.BackendMetrics) rewire.Backend { return rewire.WithRetry(b, fast) },
+			run: func(t *testing.T, pf rewire.PartialFetcher, fb *fakeBackend, _ *rewire.BackendMetrics) {
+				_, errs, err := pf.FetchPartial(context.Background(), []rewire.NodeID{99})
+				if err != nil || !errors.Is(errs[0], rewire.ErrNoSuchUser) {
+					t.Fatalf("FetchPartial = %v, %v; want a per-id ErrNoSuchUser", errs, err)
+				}
+				if c := fb.calls.Load(); c != 1 {
+					t.Fatalf("inner saw %d calls, want 1", c)
+				}
+			},
+		},
+		{
+			name: "retry/attempts exhausted",
+			wrap: func(b rewire.Backend, _ *rewire.BackendMetrics) rewire.Backend { return rewire.WithRetry(b, fast) },
+			run: func(t *testing.T, pf rewire.PartialFetcher, fb *fakeBackend, _ *rewire.BackendMetrics) {
+				fb.fails = 100
+				if _, _, err := pf.FetchPartial(context.Background(), []rewire.NodeID{0}); !errors.Is(err, fb.failErr) {
+					t.Fatalf("err = %v, want wrapped inner error", err)
+				}
+				if c := fb.calls.Load(); c != 3 {
+					t.Fatalf("inner saw %d calls, want 3", c)
+				}
+			},
+		},
+		{
+			name: "ratelimit/one token per call",
+			wrap: func(b rewire.Backend, _ *rewire.BackendMetrics) rewire.Backend { return rewire.WithRateLimit(b, 1, 2) },
+			run: func(t *testing.T, pf rewire.PartialFetcher, fb *fakeBackend, _ *rewire.BackendMetrics) {
+				// Burst 2 at 1/s: two 3-id calls pass at once, the third waits
+				// about a second and so misses a short deadline.
+				for i := 0; i < 2; i++ {
+					ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+					_, _, err := pf.FetchPartial(ctx, []rewire.NodeID{0, 1, 2})
+					cancel()
+					if err != nil {
+						t.Fatalf("call %d: %v (charged per id?)", i, err)
+					}
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+				defer cancel()
+				if _, _, err := pf.FetchPartial(ctx, []rewire.NodeID{0}); !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("third call err = %v, want the bucket to hold it past its deadline", err)
+				}
+				if c := fb.calls.Load(); c != 2 {
+					t.Fatalf("inner saw %d calls, want 2", c)
+				}
+			},
+		},
+		{
+			name: "metrics/fetches, ids and whole-batch failures",
+			wrap: rewire.WithMetrics,
+			run: func(t *testing.T, pf rewire.PartialFetcher, fb *fakeBackend, m *rewire.BackendMetrics) {
+				if _, _, err := pf.FetchPartial(context.Background(), []rewire.NodeID{0, 99, 2}); err != nil {
+					t.Fatal(err)
+				}
+				fb.fails = 1
+				if _, _, err := pf.FetchPartial(context.Background(), []rewire.NodeID{0}); err == nil {
+					t.Fatal("scripted whole-batch failure did not surface")
+				}
+				snap := m.Snapshot()
+				if snap.Fetches != 2 || snap.IDs != 4 || snap.Failures != 1 {
+					t.Fatalf("snapshot = %+v, want 2 fetches, 4 ids, 1 failure", snap)
+				}
+				if snap.BatchSizeBuckets[0] != 1 || snap.BatchSizeBuckets[2] != 1 {
+					t.Fatalf("batch-size histogram = %v, want one 1-id and one 3-id call", snap.BatchSizeBuckets)
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fb := newFakeBackend()
+			var m rewire.BackendMetrics
+			pf, ok := tc.wrap(partialFake{fb}, &m).(rewire.PartialFetcher)
+			if !ok {
+				t.Fatal("middleware hides the per-id fetch path")
+			}
+			tc.run(t, pf, fb, &m)
+		})
+	}
+}
+
+// retryAfterError is a transient failure whose provider asks to be left
+// alone for d, the way an HTTP 429 carries Retry-After.
+type retryAfterError struct{ d time.Duration }
+
+func (e retryAfterError) Error() string             { return "slow down" }
+func (e retryAfterError) Temporary() bool           { return true }
+func (e retryAfterError) RetryDelay() time.Duration { return e.d }
+
+// TestWithRetryHonoursRetryAfter: a requested wait up to MaxDelay lengthens
+// the backoff sleep; one beyond it ends the loop after a single attempt with
+// the provider's error, for the caller to schedule around.
+func TestWithRetryHonoursRetryAfter(t *testing.T) {
+	opt := rewire.RetryOptions{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond}
+
+	fb := newFakeBackend()
+	fb.fails, fb.failErr = 100, retryAfterError{time.Hour}
+	_, err := rewire.WithRetry(fb, opt).Fetch(context.Background(), []rewire.NodeID{0})
+	if !errors.As(err, new(retryAfterError)) {
+		t.Fatalf("err = %v, want the provider's Retry-After error", err)
+	}
+	if c := fb.calls.Load(); c != 1 {
+		t.Fatalf("inner saw %d calls, want exactly 1", c)
+	}
+
+	fb = newFakeBackend()
+	fb.fails, fb.failErr = 1, retryAfterError{40 * time.Millisecond}
+	start := time.Now()
+	if _, err := rewire.WithRetry(fb, opt).Fetch(context.Background(), []rewire.NodeID{0}); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el < 40*time.Millisecond {
+		t.Fatalf("retried after %v, before the requested 40ms", el)
+	}
+}
+
+// countingBackend is a third-party middleware implementing only Fetch (and
+// Unwrap): it has no per-id path of its own.
+type countingBackend struct {
+	inner rewire.Backend
+	calls atomic.Int64
+}
+
+func (c *countingBackend) Fetch(ctx context.Context, ids []rewire.NodeID) ([][]rewire.NodeID, error) {
+	c.calls.Add(1)
+	return c.inner.Fetch(ctx, ids)
+}
+
+func (c *countingBackend) Unwrap() rewire.Backend { return c.inner }
+
+// TestBatchingDoesNotSkipFetchOnlyWrapper: the dispatcher uses a backend's
+// per-id path only when the backend itself has one, never an inner one found
+// down the Unwrap chain — that would route every batch around the wrapper.
+func TestBatchingDoesNotSkipFetchOnlyWrapper(t *testing.T) {
+	cw := &countingBackend{inner: partialFake{newFakeBackend()}}
+	b := rewire.WithBatching(cw, rewire.BatchingOptions{})
+	if _, err := b.Fetch(context.Background(), []rewire.NodeID{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if c := cw.calls.Load(); c == 0 {
+		t.Fatal("batched fetch bypassed the Fetch-only wrapper")
+	}
+}
+
+// TestCacheOverHTTPKeepsPerIDBatches: the cache: driver forwards the inner
+// http backend's per-id path, so a coalesced batch holding an unknown id
+// still costs one round trip instead of a re-fetch per id.
+func TestCacheOverHTTPKeepsPerIDBatches(t *testing.T) {
+	ctx := context.Background()
+	g, err := rewire.SocialGraph(60, 240, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(httpsrc.Handler(g, httpsrc.ServerOptions{}))
+	defer srv.Close()
+	be, err := rewire.OpenBackend(ctx, "cache:"+t.TempDir()+"?src="+url.QueryEscape(srv.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rewire.BackendSource(be).Close()
+	wire, ok := rewire.BackendAs[interface{ Stats() httpsrc.Stats }](be)
+	if !ok {
+		t.Fatal("http backend not reachable through the cache: chain")
+	}
+	b := rewire.WithBatching(be, rewire.BatchingOptions{})
+	if _, err := b.Fetch(ctx, []rewire.NodeID{0, 1, 9999}); !errors.Is(err, rewire.ErrNoSuchUser) {
+		t.Fatalf("err = %v, want ErrNoSuchUser", err)
+	}
+	if st := wire.Stats(); st.BatchPosts+st.Gets != 1 {
+		t.Fatalf("wire stats = %+v, want one round trip", st)
+	}
+}
+
 // TestMiddlewareCompositionKeepsCapabilities proves capability probing
 // follows the Unwrap chain through stacked middleware: a Provider over
 // metrics(retry(ratelimit(backend))) still sees NumUsers, forwards hints,
@@ -278,7 +510,8 @@ func (f fetchOnlyBackend) Fetch(ctx context.Context, ids []rewire.NodeID) ([][]r
 
 // TestOpenSimMatchesSimulate pins the compatibility claim: Open("sim:...")
 // and Simulate over the same graph and limits produce byte-identical
-// trajectories, bills, and simulation telemetry.
+// trajectories, bills, and simulation telemetry — and a Simulate provider
+// has a backend to probe and closes cleanly, like every other Provider.
 func TestOpenSimMatchesSimulate(t *testing.T) {
 	ctx := context.Background()
 	g, err := rewire.SocialGraph(200, 800, 9)
@@ -296,7 +529,17 @@ func TestOpenSimMatchesSimulate(t *testing.T) {
 		}
 		return samples, p.UniqueQueries(), p.TotalQueries()
 	}
-	legacy, legacyBill, legacyTotal := run(rewire.Simulate(g, rewire.FacebookLimits()))
+	sim := rewire.Simulate(g, rewire.FacebookLimits())
+	if sim.Backend() == nil {
+		t.Fatal("Simulate provider has no backend")
+	}
+	if uc, ok := rewire.BackendAs[rewire.UserCounter](sim.Backend()); !ok || uc.NumUsers() != g.NumNodes() {
+		t.Fatalf("UserCounter through Simulate's backend = %v (found %v), want %d", uc, ok, g.NumNodes())
+	}
+	legacy, legacyBill, legacyTotal := run(sim)
+	if err := sim.Close(); err != nil {
+		t.Fatalf("Close = %v, want nil", err)
+	}
 	opened, err := rewire.Open(ctx, "sim:social?nodes=200&edges=800&seed=9&limits=facebook")
 	if err != nil {
 		t.Fatal(err)

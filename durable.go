@@ -93,12 +93,19 @@ func (p *Provider) CompactDurableCache() error {
 // not here — the backend wrapper only ties the cache's lifetime to the
 // backend chain's Close.
 type cacheBackend struct {
-	inner Backend
-	cache *durable.Cache
+	inner   Backend
+	partial func(context.Context, []NodeID) ([][]NodeID, []error, error)
+	cache   *durable.Cache
 }
 
 func (b *cacheBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, error) {
 	return b.inner.Fetch(ctx, ids)
+}
+
+// FetchPartial forwards the inner backend's per-id path, so a coalescing
+// dispatcher over cache: keeps the isolation the inner driver offers.
+func (b *cacheBackend) FetchPartial(ctx context.Context, ids []NodeID) ([][]NodeID, []error, error) {
+	return b.partial(ctx, ids)
 }
 
 // Unwrap exposes the inner backend's capabilities (UserCounter, Hinter,
@@ -145,5 +152,5 @@ func openCache(ctx context.Context, u *url.URL) (Backend, error) {
 		closeBackend(inner)
 		return nil, err
 	}
-	return &cacheBackend{inner: inner, cache: c}, nil
+	return &cacheBackend{inner: inner, partial: partialFetchFunc(inner), cache: c}, nil
 }

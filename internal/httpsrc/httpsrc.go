@@ -45,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"slices"
@@ -61,9 +60,6 @@ import (
 
 // Defaults for Options zero values.
 const (
-	DefaultMaxAttempts     = 4
-	DefaultBaseBackoff     = 100 * time.Millisecond
-	DefaultMaxBackoff      = 5 * time.Second
 	DefaultRequestTimeout  = 10 * time.Second
 	DefaultBatchSize       = 64
 	DefaultChunkParallel   = 4
@@ -83,15 +79,16 @@ type Options struct {
 	// Client is the http.Client to use (default: a fresh client, so closing
 	// idle connections never touches a shared transport).
 	Client *http.Client
-	// MaxAttempts bounds tries per batch, first attempt included.
+	// MaxAttempts bounds tries per batch, first attempt included (default 4).
 	MaxAttempts int
 	// BaseBackoff and MaxBackoff bound the exponential backoff between
-	// retries. The delay before retry n is min(MaxBackoff, BaseBackoff·2ⁿ⁻¹)
-	// with bounded jitter in [delay/2, delay), and a server Retry-After
-	// overrides the computed delay when longer — up to MaxBackoff. A
-	// Retry-After beyond MaxBackoff (a 429 on an hour-long quota window) is
-	// not slept out: the StatusError is returned, RetryAfter included, for
-	// the caller to schedule around.
+	// retries (defaults 100ms and 5s). The delay before retry n is
+	// min(MaxBackoff, BaseBackoff·2ⁿ⁻¹) with bounded jitter in
+	// [delay/2, delay), and a server Retry-After overrides the computed
+	// delay when longer — up to MaxBackoff. A Retry-After beyond MaxBackoff
+	// (a 429 on an hour-long quota window) is not slept out: the
+	// StatusError is returned, RetryAfter included, for the caller to
+	// schedule around.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 	// RequestTimeout is the per-attempt deadline, layered under the caller's
@@ -116,15 +113,6 @@ type Options struct {
 func (o *Options) withDefaults() {
 	if o.Client == nil {
 		o.Client = &http.Client{}
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = DefaultMaxAttempts
-	}
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = DefaultBaseBackoff
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = DefaultMaxBackoff
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = DefaultRequestTimeout
@@ -155,12 +143,28 @@ func (e *StatusError) Error() string {
 // errors are transient, other 4xx are not.
 func (e *StatusError) Temporary() bool { return e.Code == http.StatusTooManyRequests || e.Code >= 500 }
 
+// RetryDelay is the wait the provider asked for (RetryAfter), which the
+// retry loop sleeps out before the next attempt.
+func (e *StatusError) RetryDelay() time.Duration { return e.RetryAfter }
+
 // ProtocolError reports a response that is not valid protocol JSON (or that
 // answers a different question than asked). It is permanent: retrying a
 // server that speaks garbage is not a recovery strategy.
 type ProtocolError struct{ msg string }
 
 func (e *ProtocolError) Error() string { return "httpsrc: " + e.msg }
+
+// Temporary reports false: see the type comment.
+func (e *ProtocolError) Temporary() bool { return false }
+
+// transportError is a failed round trip (connection refused or reset, the
+// per-attempt timeout). It is transient whatever the wrapped error says
+// about itself.
+type transportError struct{ err error }
+
+func (e transportError) Error() string   { return e.err.Error() }
+func (e transportError) Unwrap() error   { return e.err }
+func (e transportError) Temporary() bool { return true }
 
 // RateLimitState is the latest provider-published quota feedback.
 type RateLimitState struct {
@@ -175,8 +179,9 @@ type RateLimitState struct {
 // the prefetch pool share one Backend, and the underlying http.Client pools
 // connections across them.
 type Backend struct {
-	base *url.URL
-	opt  Options
+	base  *url.URL
+	opt   Options
+	retry osn.Backoff
 
 	mu    sync.Mutex
 	rl    RateLimitState
@@ -239,7 +244,11 @@ func New(o Options) (*Backend, error) {
 	if u.Scheme != "http" && u.Scheme != "https" {
 		return nil, fmt.Errorf("httpsrc: base URL scheme %q is not http(s)", u.Scheme)
 	}
-	return &Backend{base: u, opt: o}, nil
+	return &Backend{base: u, opt: o, retry: osn.Backoff{
+		MaxAttempts: o.MaxAttempts,
+		BaseDelay:   o.BaseBackoff,
+		MaxDelay:    o.MaxBackoff,
+	}}, nil
 }
 
 // endpoint builds {base}/{leaf}?{query}, preserving any query the base URL
@@ -367,42 +376,16 @@ func (b *Backend) FetchPartial(ctx context.Context, ids []graph.NodeID) ([][]gra
 // Per-id errors are final answers and never retried; only whole-chunk
 // transient failures re-attempt.
 func (b *Backend) fetchChunkPartial(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, []error, error) {
-	var lastErr error
-	var retryAfter time.Duration
-	for attempt := 1; attempt <= b.opt.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			if err := b.sleepBackoff(ctx, attempt-1, retryAfter); err != nil {
-				return nil, nil, err
-			}
-		}
-		lists, errs, err := b.attemptChunk(ctx, ids)
-		if err == nil {
-			return lists, errs, nil
-		}
-		if ctx.Err() != nil {
-			// The caller's context ended (their cancellation or deadline, not
-			// the per-attempt timeout): report it, not the transport noise.
-			return nil, nil, ctx.Err()
-		}
-		if !temporary(err) {
-			return nil, nil, err
-		}
-		lastErr = err
-		retryAfter = 0
-		var se *StatusError
-		if errors.As(err, &se) {
-			retryAfter = se.RetryAfter
-			if retryAfter > b.opt.MaxBackoff {
-				// The provider wants a wait longer than this client is
-				// configured to block (a 429 on an hour-long quota window,
-				// say). Sleeping it out here would wedge the walk — surface
-				// the StatusError, RetryAfter included, and let the caller
-				// decide (budget the crawl, WithRateLimit, resume later).
-				return nil, nil, err
-			}
-		}
+	var lists [][]graph.NodeID
+	var errs []error
+	err := b.retry.Retry(ctx, func() (err error) {
+		lists, errs, err = b.attemptChunk(ctx, ids)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("httpsrc: %d attempts exhausted: %w", b.opt.MaxAttempts, lastErr)
+	return lists, errs, nil
 }
 
 // attemptChunk is one protocol attempt for a chunk: the batch POST when the
@@ -479,45 +462,6 @@ func (b *Backend) getChunkPartial(ctx context.Context, ids []graph.NodeID) ([][]
 		return lists, errs, nil
 	}
 	return lists, errs, nil
-}
-
-// temporary reports whether err is worth a retry.
-func temporary(err error) bool {
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.Temporary()
-	}
-	var pe *ProtocolError
-	if errors.As(err, &pe) || errors.Is(err, osn.ErrNoSuchUser) {
-		return false
-	}
-	// Transport-level failures (connection refused/reset, the per-attempt
-	// timeout) are transient by default.
-	return true
-}
-
-// sleepBackoff waits out the bounded-jitter exponential delay before retry n
-// (1-based), or the server's Retry-After when that is longer. Cancellation
-// interrupts the wait immediately.
-func (b *Backend) sleepBackoff(ctx context.Context, n int, retryAfter time.Duration) error {
-	d := b.opt.BaseBackoff << (n - 1)
-	if d > b.opt.MaxBackoff || d <= 0 {
-		d = b.opt.MaxBackoff
-	}
-	// Bounded jitter: uniform in [d/2, d). Decorrelates a fleet of crawlers
-	// without ever waiting less than half the intended delay.
-	d = d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
-	if retryAfter > d {
-		d = retryAfter
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // neighborsResponse is the wire shape of a /neighbors answer.
@@ -719,45 +663,26 @@ func (b *Backend) cacheStore(key, etag string, lists [][]graph.NodeID) {
 // Meta fetches the provider-published user count (with the same retry
 // policy) and caches it for NumUsers.
 func (b *Backend) Meta(ctx context.Context) (int, error) {
-	var n int
-	var lastErr error
-	for attempt := 1; attempt <= b.opt.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			var retryAfter time.Duration
-			var se *StatusError
-			if errors.As(lastErr, &se) {
-				retryAfter = se.RetryAfter
-				if retryAfter > b.opt.MaxBackoff {
-					return 0, lastErr // see fetchChunk: never out-sleep MaxBackoff
-				}
-			}
-			if err := b.sleepBackoff(ctx, attempt-1, retryAfter); err != nil {
-				return 0, err
-			}
-		}
-		body, err := b.get(ctx, b.endpoint("meta", nil), false)
-		if err == nil {
-			var meta struct {
-				NumUsers int `json:"num_users"`
-			}
-			if err := json.Unmarshal(body, &meta); err != nil {
-				return 0, &ProtocolError{msg: fmt.Sprintf("malformed meta JSON: %v", err)}
-			}
-			n = meta.NumUsers
-			b.mu.Lock()
-			b.users = n
-			b.mu.Unlock()
-			return n, nil
-		}
-		if ctx.Err() != nil {
-			return 0, ctx.Err()
-		}
-		if !temporary(err) {
-			return 0, err
-		}
-		lastErr = err
+	var meta struct {
+		NumUsers int `json:"num_users"`
 	}
-	return 0, fmt.Errorf("httpsrc: %d attempts exhausted: %w", b.opt.MaxAttempts, lastErr)
+	err := b.retry.Retry(ctx, func() error {
+		body, err := b.get(ctx, b.endpoint("meta", nil), false)
+		if err != nil {
+			return err
+		}
+		if err := json.Unmarshal(body, &meta); err != nil {
+			return &ProtocolError{msg: fmt.Sprintf("malformed meta JSON: %v", err)}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	b.mu.Lock()
+	b.users = meta.NumUsers
+	b.mu.Unlock()
+	return meta.NumUsers, nil
 }
 
 // NumUsers returns the cached /meta user count, fetching it once on first
@@ -825,7 +750,7 @@ func (b *Backend) do(ctx context.Context, method, rawURL string, payload []byte,
 	}
 	resp, err := b.opt.Client.Do(req)
 	if err != nil {
-		return nil, "", false, err
+		return nil, "", false, transportError{err}
 	}
 	defer func() {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, maxResponseBytes))

@@ -320,6 +320,35 @@ func TestPerAttemptTimeoutRetries(t *testing.T) {
 	}
 }
 
+// TestDroppedConnectionRetries: a connection the provider drops without an
+// answer is a transient transport failure, retried like a timeout — even
+// though the error the HTTP client reports does not call itself temporary.
+func TestDroppedConnectionRetries(t *testing.T) {
+	g := testGraph()
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			conn.Close()
+			return
+		}
+		Handler(g, ServerOptions{}).ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	b, err := New(fastOptions(srv.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustFetch(t, b, 2)
+	if calls.Load() != 2 {
+		t.Fatalf("server saw %d calls, want 2 (dropped connection then success)", calls.Load())
+	}
+}
+
 // osnAdapter lifts the driver-shaped Fetch onto the internal client contract
 // (the public SDK does the same through its Backend adapter).
 type osnAdapter struct{ b *Backend }

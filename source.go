@@ -122,19 +122,17 @@ type PrefetchStats = osn.PrefetchStats
 type Provider struct {
 	svc     *osn.Service // non-nil only for simulated backends
 	client  *osn.Client
-	backend Backend        // nil for the legacy Simulate construction path
+	backend Backend
 	durable *durable.Cache // non-nil once a durable cache is attached
 }
 
 // Simulate wraps g in a simulated provider under the given limits. It is the
-// compatibility constructor for the sim: driver — Open(ctx,
-// "sim:...?limits=facebook") builds the same stack — and keeps its
-// historical behavior bit-for-bit: fixed-seed trajectories and unique-query
-// bills are byte-identical to pre-driver releases (the CI bench gate pins
-// them).
+// sim: driver without the URL — Open(ctx, "sim:...?limits=facebook") builds
+// the same stack through BackendSource — and keeps its historical behavior
+// bit-for-bit: fixed-seed trajectories and unique-query bills are
+// byte-identical to pre-driver releases (the CI bench gate pins them).
 func Simulate(g *Graph, limits Limits) *Provider {
-	svc := osn.NewService(g, nil, osn.Config(limits))
-	return &Provider{svc: svc, client: osn.NewClient(svc)}
+	return BackendSource(&simBackend{svc: osn.NewService(g, nil, osn.Config(limits))})
 }
 
 // BackendSource wraps any Backend in a Provider, attaching the full client
@@ -145,8 +143,9 @@ func Simulate(g *Graph, limits Limits) *Provider {
 func BackendSource(b Backend) *Provider {
 	p := &Provider{client: osn.NewClient(newOSNBackend(b)), backend: b}
 	if sb, ok := backendAs[*simBackend](b); ok {
-		// Simulated backends opened through the driver registry report their
-		// simulation telemetry exactly like the Simulate constructor.
+		// Simulated backends (Simulate, the sim: driver) expose the
+		// service's telemetry through TotalQueries, SimulatedElapsed and
+		// RateLimitWaits.
 		p.svc = sb.svc
 	}
 	if cb, ok := backendAs[*cacheBackend](b); ok {
@@ -163,9 +162,9 @@ func BackendSource(b Backend) *Provider {
 	return p
 }
 
-// Backend returns the backend this provider wraps (nil for the legacy
-// Simulate construction path). Probe it for capabilities — e.g.
-// RateLimited, or a WithMetrics wrapper's Metrics method.
+// Backend returns the backend this provider wraps (for Simulate, the sim:
+// driver's). Probe it for capabilities — e.g. RateLimited, UserCounter, or a
+// WithMetrics wrapper's Metrics method — with BackendAs.
 func (p *Provider) Backend() Backend { return p.backend }
 
 // Close releases resources held by the backend chain (snapshot mappings,
@@ -182,10 +181,8 @@ func (p *Provider) Close() error {
 		// same cache again through cacheBackend.Close, which is then a no-op.
 		first = p.durable.Close()
 	}
-	if p.backend != nil {
-		if err := closeBackend(p.backend); first == nil {
-			first = err
-		}
+	if err := closeBackend(p.backend); first == nil {
+		first = err
 	}
 	return first
 }
@@ -340,9 +337,6 @@ func (p *Provider) RateLimitWaits() int64 {
 // RateLimited capability (the HTTP driver mirrors X-RateLimit-* headers
 // here); ok is false otherwise, and until feedback has been observed.
 func (p *Provider) RateLimit() (RateLimitInfo, bool) {
-	if p.backend == nil {
-		return RateLimitInfo{}, false
-	}
 	rl, ok := backendAs[RateLimited](p.backend)
 	if !ok {
 		return RateLimitInfo{}, false
