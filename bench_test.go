@@ -303,6 +303,48 @@ func BenchmarkMTOStep(b *testing.B) {
 	}
 }
 
+// warmClient returns a client over g with every node demanded once, so
+// every read below is a hit.
+func warmClient(b *testing.B, g *graph.Graph) *osn.Client {
+	client := osn.NewClient(osn.NewService(g, nil, osn.Config{}))
+	for v := 0; v < g.NumNodes(); v++ {
+		if _, err := client.Query(graph.NodeID(v)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return client
+}
+
+// BenchmarkClientHit is the cache layer's demand-hit cost: one Query of a
+// demanded node.
+func BenchmarkClientHit(b *testing.B) {
+	g := exp.SmallDatasets()[0].Graph
+	client := warmClient(b, g)
+	n := g.NumNodes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.Query(graph.NodeID(i % n)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClientCachedDegree is the cost of one of the Theorem 5
+// criterion's free degree lookups.
+func BenchmarkClientCachedDegree(b *testing.B) {
+	g := exp.SmallDatasets()[0].Graph
+	client := warmClient(b, g)
+	n := g.NumNodes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := client.CachedDegree(graph.NodeID(i % n)); !ok {
+			b.Fatal("warm node missed")
+		}
+	}
+}
+
 func BenchmarkSRWStepViaClient(b *testing.B) {
 	g := exp.SmallDatasets()[0].Graph
 	svc := osn.NewService(g, nil, osn.Config{})

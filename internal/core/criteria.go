@@ -84,7 +84,15 @@ func RemovableTheorem5(common []graph.NodeID, ku, kv int, cache DegreeCache) boo
 // neither test pointwise stronger: e.g. with 3 common neighbors, one cached
 // at degree 3, and max degree 5, Theorem 3 fires (6 > 5) while the Theorem 5
 // left side is only 5.
+//
+// Neither left side can exceed 2|common| + 3 (each N* member adds at most 2,
+// every other common neighbor at most 1 after the ceiling, plus the +1
+// doubled), so when that bound does not beat max(ku, kv) the edge is
+// rejected without a single cache read.
 func Removable(common []graph.NodeID, ku, kv int, cache DegreeCache) bool {
+	if 2*len(common)+3 <= max(ku, kv) {
+		return false
+	}
 	if RemovableTheorem3(len(common), ku, kv) {
 		return true
 	}

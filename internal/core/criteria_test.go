@@ -154,6 +154,43 @@ func TestRemovableCombinedContainsTheorem3(t *testing.T) {
 	}
 }
 
+// stubDegreeCache answers ids ≡ 1, 2 (mod 3) with degree 2 or 3 — the
+// degrees that earn the Theorem 5 bonus, so its left side reaches the
+// prune's bound — misses ids ≡ 0 (mod 3), and counts its reads.
+type stubDegreeCache struct{ reads int }
+
+func (s *stubDegreeCache) CachedDegree(v graph.NodeID) (int, bool) {
+	s.reads++
+	if v%3 == 0 {
+		return 0, false
+	}
+	return 2 + int(v%2), true
+}
+
+// TestRemovablePruneExact checks that the prune before the Theorem 5 loop
+// changes no verdict — Removable is exactly the OR of the two certificates —
+// and that a pruned edge reads nothing from the cache.
+func TestRemovablePruneExact(t *testing.T) {
+	check := func(ids []uint8, ku, kv uint8) bool {
+		common := make([]graph.NodeID, len(ids)%12)
+		for i := range common {
+			common[i] = graph.NodeID(ids[i])
+		}
+		// Degrees near the bound, where a wrong prune would show.
+		span := uint8(2*len(common) + 8)
+		du, dv := int(ku%span), int(kv%span)
+		want := RemovableTheorem3(len(common), du, dv) || RemovableTheorem5(common, du, dv, &stubDegreeCache{})
+		cache := &stubDegreeCache{}
+		if Removable(common, du, dv, cache) != want {
+			return false
+		}
+		return 2*len(common)+3 > max(du, dv) || cache.reads == 0
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestRemovableParityCounterexample(t *testing.T) {
 	// The documented counterexample: 3 common neighbors, one cached at
 	// degree 3, max degree 5. Theorem 3 fires; the raw Theorem 5 formula

@@ -16,9 +16,10 @@ import (
 // ContentionConfig controls the storage-contention measurement: k SRW
 // walkers on k goroutines hammering one shared client over a ZERO-latency
 // service, so there is no round-trip to hide behind and every nanosecond of
-// wall-clock is walk arithmetic plus storage-engine locking. Comparing a
-// sharded client (internal/store) against the legacy single-lock layout
-// (shards=1) isolates exactly what the sharded engine buys.
+// wall-clock is walk arithmetic plus storage-engine work. Cache hits read the
+// client's lock-free demanded table in either layout, so comparing a sharded
+// client (internal/store) against the legacy single-lock layout (shards=1)
+// isolates what sharding buys on the cold path: misses and their commits.
 //
 // Budgets are partitioned per walker (each member's trajectory depends only
 // on its own RNG stream), so the unique-query bill is a deterministic

@@ -34,19 +34,24 @@ type inflight struct {
 	tenant string
 }
 
-// nodeState is everything the client knows about one user, stored as a single
-// sharded-map entry so "check the cache, join an in-flight fetch, or claim
-// the fetch" is one atomic step under one shard lock — per-shard singleflight.
-// Exactly one of the two halves is live: flight != nil while a fetch is in
-// progress, cached once a response landed. Speculative entries were fetched
-// by the prefetch pool and not yet consumed by any demand query: they are
-// invisible to the cost ledger AND to the free-knowledge accessors (Cached,
-// CachedDegree, CachedAttrs) until a demand query upgrades them, so enabling
-// prefetch changes neither walk trajectories nor Theorem 5 verdicts nor
-// UniqueQueries — it is purely a latency optimization.
+// nodeState is the client's still-mutable knowledge of one user, stored as a
+// single sharded-map entry so "check the cache, join an in-flight fetch, or
+// claim the fetch" is one atomic step under one shard lock — per-shard
+// singleflight. Exactly one of the two halves is live: flight != nil while a
+// fetch is in progress, resp != nil once a response landed. Speculative
+// entries were fetched by the prefetch pool and not yet consumed by any
+// demand query: they are invisible to the cost ledger AND to the
+// free-knowledge accessors (Cached, CachedDegree, CachedAttrs) until a demand
+// query upgrades them, so enabling prefetch changes neither walk trajectories
+// nor Theorem 5 verdicts nor UniqueQueries — it is purely a latency
+// optimization.
+//
+// Demanded responses never change again, so they leave the map: publish
+// moves them into the client's lock-free table in the same critical section
+// that deletes the map entry. Only ids outside the table's range (see
+// store.Table.Covers) stay here as resp != nil && !speculative.
 type nodeState struct {
-	resp        Response
-	cached      bool
+	resp        *Response
 	speculative bool
 	flight      *inflight
 }
@@ -54,7 +59,7 @@ type nodeState struct {
 // ledger is the client's global billing state. It is deliberately tiny — a
 // handful of int64 counters behind one mutex touched only on the cold paths
 // (misses, commits, speculative upgrades) — so that the hot path, a cache
-// hit, costs exactly one shard read-lock and never contends across shards.
+// hit, takes no lock at all.
 // Lock order: a user's shard lock first, then the ledger; never the reverse.
 type ledger struct {
 	mu     sync.Mutex
@@ -131,16 +136,18 @@ func (l *ledger) overBudgetLocked() bool {
 // snapshot gets the exact same cache, singleflight, billing, budget, and
 // prefetch machinery.
 //
-// Client is safe for concurrent use, and its local store is sharded
-// (internal/store): per-user state lives in a power-of-two-sharded map with
-// one RWMutex per shard, so fleet walkers and prefetch workers touching
-// different users never contend — a cache hit is one shard read-lock, and a
-// cache miss is coalesced per user under its shard lock (per-shard
-// singleflight). The lock is NOT held across the service round-trip (misses
-// for different users overlap their latency, the fleet's whole wall-clock
-// win), yet concurrent misses for the same user still charge exactly one
-// unique query. Global billing counters live in a separate one-mutex ledger
-// touched only on cold paths.
+// Client is safe for concurrent use, and its local store has two parts
+// (internal/store). Demanded responses, which never change once billed, live
+// in a publish-once table read without any lock: a cache hit, and each of
+// the Theorem 5 criterion's free degree lookups, is a few atomic loads. The
+// still-mutable state — in-flight fetches and speculative entries — lives in
+// a power-of-two-sharded map with one RWMutex per shard, where a cache miss
+// is coalesced per user under its shard lock (per-shard singleflight) and
+// published into the table under that same lock. The lock is NOT held
+// across the service round-trip (misses for different users overlap their
+// latency, the fleet's whole wall-clock win), yet concurrent misses for the
+// same user still charge exactly one unique query. Global billing counters
+// live in a separate one-mutex ledger touched only on cold paths.
 //
 // A Client can additionally run an asynchronous prefetch pool (see
 // NewPrefetchingClient / StartPrefetch): Prefetch(ids...) enqueues
@@ -152,8 +159,12 @@ type Client struct {
 	// hinter is be's optional advisory-prefetch capability, probed once at
 	// construction (nil when absent).
 	hinter Hinter
-	state  *store.Map[graph.NodeID, nodeState]
-	led    ledger
+	// demanded holds every billed response whose id it covers; state holds
+	// the rest (in-flight fetches, speculative entries, uncovered ids). An
+	// id moves from state to demanded under its shard lock and never back.
+	demanded store.Table[graph.NodeID, Response]
+	state    *store.Map[graph.NodeID, nodeState]
+	led      ledger
 
 	// pool is the optional prefetch worker pool; nil means Prefetch is a
 	// no-op. Guarded by poolMu (not the shard locks: enqueueing must not
@@ -199,6 +210,31 @@ func (c *Client) fetchOne(ctx context.Context, v graph.NodeID) (Response, error)
 		return Response{}, fmt.Errorf("osn: backend returned %d responses for 1 id", len(resps))
 	}
 	return resps[0], nil
+}
+
+// publishLocked makes r v's demanded response. Called under v's shard lock
+// (s), which orders it against every locked miss path: the entry leaves the
+// map in the same critical section that publishes it into the table, so
+// each response is stored once and the locked paths' table re-check sees
+// it. Ids the table does not cover stay in the map as demanded entries.
+func (c *Client) publishLocked(s store.LockedShard[graph.NodeID, nodeState], v graph.NodeID, r *Response) {
+	if c.demanded.Publish(v, r) {
+		s.Delete(v)
+		return
+	}
+	s.Put(v, nodeState{resp: r})
+}
+
+// demandedResp returns v's demanded response, or nil. The table answers for
+// every id it covers; only uncovered ids fall back to the map.
+func (c *Client) demandedResp(v graph.NodeID) *Response {
+	if r := c.demanded.Load(v); r != nil || c.demanded.Covers(v) {
+		return r
+	}
+	if st, ok := c.state.Get(v); ok && !st.speculative {
+		return st.resp
+	}
+	return nil
 }
 
 // Reshard rebuilds the local store with a new shard count. It is NOT safe to
@@ -247,9 +283,9 @@ func (c *Client) Query(v graph.NodeID) (Response, error) {
 // exactly like singleflight; a waiter that sees a context error not its own
 // may simply retry.
 func (c *Client) QueryContext(ctx context.Context, v graph.NodeID) (Response, error) {
-	// Hot path: a demanded cache hit costs one shard read-lock.
-	if st, ok := c.state.Get(v); ok && st.cached && !st.speculative {
-		return st.resp, nil
+	// Hot path: a demanded cache hit takes no lock.
+	if r := c.demanded.Load(v); r != nil {
+		return *r, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
@@ -265,9 +301,17 @@ func (c *Client) QueryContext(ctx context.Context, v graph.NodeID) (Response, er
 		owner   bool // this call claimed the fetch and must drive it
 	)
 	c.state.Locked(v, func(s store.LockedShard[graph.NodeID, nodeState]) {
+		// Re-check the table under the lock: a commit may have published v
+		// (and deleted its map entry) since the lock-free read above, and
+		// claiming a fresh fetch now would bill v twice.
+		if r := c.demanded.Load(v); r != nil {
+			resp = *r
+			settled = true
+			return
+		}
 		st, ok := s.Get(v)
 		switch {
-		case ok && st.cached:
+		case ok && st.resp != nil:
 			if st.speculative {
 				// First demand touch of a prefetched response: bill it now,
 				// to the tenant whose demand consumed the speculation.
@@ -294,10 +338,9 @@ func (c *Client) QueryContext(ctx context.Context, v graph.NodeID) (Response, er
 				tl.unique++
 				c.led.speculative--
 				c.led.mu.Unlock()
-				st.speculative = false
-				s.Put(v, st)
+				c.publishLocked(s, v, st.resp)
 			}
-			resp = st.resp
+			resp = *st.resp
 			settled = true
 		case ok && st.flight != nil:
 			// Someone else — a sibling walker or the prefetch pool — is
@@ -419,10 +462,13 @@ func (c *Client) commit(v graph.NodeID, f *inflight) {
 			c.led.size++
 		}
 		c.led.mu.Unlock()
-		if f.err == nil {
-			s.Put(v, nodeState{resp: f.resp, cached: true, speculative: f.demand == 0})
-		} else {
+		switch r := f.resp; {
+		case f.err != nil:
 			s.Delete(v)
+		case f.demand > 0:
+			c.publishLocked(s, v, &r)
+		default:
+			s.Put(v, nodeState{resp: &r, speculative: true})
 		}
 	})
 	close(f.done)
@@ -442,10 +488,16 @@ func (c *Client) fetchSpeculative(ctx context.Context, v graph.NodeID) (resp Res
 		cached bool
 	)
 	c.state.Locked(v, func(s store.LockedShard[graph.NodeID, nodeState]) {
+		// Re-check the table under the lock, as QueryContext does.
+		if r := c.demanded.Load(v); r != nil {
+			resp = *r
+			cached = true
+			return
+		}
 		st, ok := s.Get(v)
 		switch {
-		case ok && st.cached:
-			resp = st.resp
+		case ok && st.resp != nil:
+			resp = *st.resp
 			cached = true
 		case ok && st.flight != nil:
 			pending = st.flight
@@ -484,8 +536,8 @@ func (c *Client) QueryBatchContext(ctx context.Context, ids []graph.NodeID) ([]R
 	errs := make([]error, len(ids))
 	var wg sync.WaitGroup
 	for i, v := range ids {
-		if st, ok := c.state.Get(v); ok && st.cached && !st.speculative {
-			out[i] = st.resp
+		if r := c.demanded.Load(v); r != nil {
+			out[i] = *r
 			continue
 		}
 		wg.Add(1)
@@ -539,8 +591,7 @@ func (c *Client) Degree(v graph.NodeID) int {
 // must see the exact same world with and without prefetching, or enabling
 // the pool would silently change trajectories and query bills.
 func (c *Client) Cached(v graph.NodeID) bool {
-	st, ok := c.state.Get(v)
-	return ok && st.cached && !st.speculative
+	return c.demandedResp(v) != nil
 }
 
 // Known reports whether a fetch for v is already cached (demanded or
@@ -549,7 +600,7 @@ func (c *Client) Cached(v graph.NodeID) bool {
 // on genuinely cold nodes.
 func (c *Client) Known(v graph.NodeID) bool {
 	// Failed fetches delete their entry, so presence == cached or in flight.
-	return c.state.Contains(v)
+	return c.demanded.Load(v) != nil || c.state.Contains(v)
 }
 
 // CachedDegree returns v's degree if — and only if — it is already known
@@ -557,31 +608,31 @@ func (c *Client) Known(v graph.NodeID) bool {
 // "historical information ... without paying any query cost" of the paper's
 // Theorem 5 extension. Speculative entries are excluded (see Cached).
 func (c *Client) CachedDegree(v graph.NodeID) (int, bool) {
-	st, ok := c.state.Get(v)
-	if !ok || !st.cached || st.speculative {
+	r := c.demandedResp(v)
+	if r == nil {
 		return 0, false
 	}
-	return len(st.resp.Neighbors), true
+	return len(r.Neighbors), true
 }
 
 // CachedNeighbors returns v's neighbor list (shared slice, do not modify) if
 // already demand-cached. Prefetch strategies use it to read the walk
 // frontier without spending queries.
 func (c *Client) CachedNeighbors(v graph.NodeID) ([]graph.NodeID, bool) {
-	st, ok := c.state.Get(v)
-	if !ok || !st.cached || st.speculative {
+	r := c.demandedResp(v)
+	if r == nil {
 		return nil, false
 	}
-	return st.resp.Neighbors, true
+	return r.Neighbors, true
 }
 
 // CachedAttrs returns v's attributes if already demand-cached.
 func (c *Client) CachedAttrs(v graph.NodeID) (UserAttrs, bool) {
-	st, ok := c.state.Get(v)
-	if !ok || !st.cached || st.speculative {
+	r := c.demandedResp(v)
+	if r == nil {
 		return UserAttrs{}, false
 	}
-	return st.resp.Attrs, true
+	return r.Attrs, true
 }
 
 // UniqueQueries returns the paper's query-cost metric: responses a sampler

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rewire/internal/graph"
+	"rewire/internal/store"
 )
 
 // Journal is the client's durability hook: when installed (SetJournal), every
@@ -47,7 +48,13 @@ func (c *Client) Journaled() bool { return c.journal != nil }
 // cached (the caller replays a journal, in which each id's last fetch record
 // is unique).
 func (c *Client) SeedCached(v graph.NodeID, resp Response, billed bool, tenant string) {
-	c.state.Put(v, nodeState{resp: resp, cached: true, speculative: !billed})
+	c.state.Locked(v, func(s store.LockedShard[graph.NodeID, nodeState]) {
+		if billed {
+			c.publishLocked(s, v, &resp)
+		} else {
+			s.Put(v, nodeState{resp: &resp, speculative: true})
+		}
+	})
 	c.led.mu.Lock()
 	defer c.led.mu.Unlock()
 	if billed {

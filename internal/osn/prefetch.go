@@ -298,9 +298,12 @@ func (p *prefetchPool) run(j prefetchJob) {
 // speculative or demanded — pool-internal only: the pool may expand any
 // known neighborhood without upgrading the entry's billing state.
 func (c *Client) cachedResponse(v graph.NodeID) (Response, bool) {
+	if r := c.demanded.Load(v); r != nil {
+		return *r, true
+	}
 	st, ok := c.state.Get(v)
-	if !ok || !st.cached {
+	if !ok || st.resp == nil {
 		return Response{}, false
 	}
-	return st.resp, true
+	return *st.resp, true
 }

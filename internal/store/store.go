@@ -14,6 +14,11 @@
 //     sequences (the osn client's per-node singleflight with demand-counted
 //     billing) run under a single shard lock via Locked/RLocked, so the
 //     engine supports per-shard singleflight without a global mutex.
+//   - Table is a publish-once table indexed by dense integer keys, with
+//     lock-free reads: the osn client moves an entry there once it can never
+//     change again (a demanded response), so the hottest read in the system —
+//     the Theorem 5 criterion's free degree lookups — is a few atomic loads
+//     with no lock and no hashing.
 //   - Arena is a slab allocator for the short int32 neighbor lists the
 //     overlay materializes by the tens of thousands: one slab allocation
 //     amortizes hundreds of list allocations, and dropped lists release

@@ -2,7 +2,7 @@ package walk
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 
 	"rewire/internal/graph"
 )
@@ -73,7 +73,9 @@ func sourceErr(src Source) error {
 // built over the inner source directly.
 //
 // Bound is safe for concurrent use by a fleet; Bind must not be called while
-// a run is in flight (the session serializes runs).
+// a run is in flight (the session serializes runs). Every base read loads
+// the context and the overlay checks the latched error once per inner
+// iteration, so both are atomic pointers rather than mutex-guarded fields.
 type Bound struct {
 	src    ContextSource
 	pf     PrefetchSource
@@ -82,17 +84,17 @@ type Bound struct {
 		Cached(v graph.NodeID) bool
 	}
 
-	mu  sync.Mutex
-	ctx context.Context
-	err error
+	ctx atomic.Pointer[context.Context]
+	err atomic.Pointer[error]
 }
 
 // NewBound wraps src (adapted via AsContextSource) bound to the background
 // context.
 func NewBound(src Source) *Bound {
 	cs := AsContextSource(src)
+	b := &Bound{src: cs}
 	//rewirelint:allow ctxflow Background is the documented initial state; Bind installs the caller's ctx
-	b := &Bound{src: cs, ctx: context.Background()}
+	b.Bind(context.Background())
 	b.pf, _ = src.(PrefetchSource)
 	b.cached, _ = src.(CachedSource)
 	b.nc, _ = src.(interface {
@@ -109,34 +111,27 @@ func (b *Bound) Bind(ctx context.Context) {
 		//rewirelint:allow ctxflow nil means unbound; Background restores the documented initial state
 		ctx = context.Background()
 	}
-	b.mu.Lock()
-	b.ctx = ctx
-	b.err = nil
-	b.mu.Unlock()
+	b.ctx.Store(&ctx)
+	b.err.Store(nil)
 }
 
 // Err returns the first query failure since the last Bind (nil if none).
 func (b *Bound) Err() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.err
+	if p := b.err.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
-// fail latches the first error of the run.
+// fail latches the first error of the run: the first CompareAndSwap wins.
 func (b *Bound) fail(err error) {
-	b.mu.Lock()
-	if b.err == nil {
-		b.err = err
+	if b.err.Load() == nil {
+		b.err.CompareAndSwap(nil, &err)
 	}
-	b.mu.Unlock()
 }
 
 // context returns the currently bound context.
-func (b *Bound) context() context.Context {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.ctx
-}
+func (b *Bound) context() context.Context { return *b.ctx.Load() }
 
 // Neighbors returns v's neighbor list under the bound context; on failure it
 // latches the error and returns nil.
