@@ -154,6 +154,11 @@ func BuildOverlay(g *graph.Graph, opt BuildOptions, r *rng.Rand) (*graph.Graph, 
 	if opt.Removal {
 		edges := g.Edges()
 		order := r.Perm(len(edges))
+		var origCache DegreeCache
+		if opt.ExtendedDegrees {
+			origCache = originalDegreeCache{g}
+		}
+		var common []graph.NodeID // EvalOriginal's reused intersection buffer
 		for pass := 0; pass < opt.MaxPasses; pass++ {
 			stats.Passes++
 			removedThisPass := 0
@@ -168,18 +173,19 @@ func BuildOverlay(g *graph.Graph, opt BuildOptions, r *rng.Rand) (*graph.Graph, 
 				}
 				var fires bool
 				if opt.Criterion == EvalOverlay {
+					if prunable(ku, kv) {
+						continue
+					}
 					fires = Removable(m.commonWith(e.U, e.V), ku, kv, cache)
 				} else {
 					// Static criterion on the input graph; connectivity
 					// guard on the evolving overlay.
-					if m.commonCount(e.U, e.V) < 1 {
+					ub, vb := g.Neighbors(e.U), g.Neighbors(e.V)
+					if prunable(len(ub), len(vb)) || m.commonCount(e.U, e.V) < 1 {
 						continue
 					}
-					var origCache DegreeCache
-					if opt.ExtendedDegrees {
-						origCache = originalDegreeCache{g}
-					}
-					fires = Removable(g.CommonNeighbors(e.U, e.V), g.Degree(e.U), g.Degree(e.V), origCache)
+					common = graph.IntersectSortedInto(common, ub, vb)
+					fires = Removable(common, len(ub), len(vb), origCache)
 				}
 				if fires {
 					m.removeEdge(e.U, e.V)

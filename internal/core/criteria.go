@@ -19,6 +19,14 @@
 // The Sampler (Algorithm 1) applies these while walking; BuildOverlay
 // applies them offline to a known graph for the paper's Fig 10 style
 // spectral measurements.
+//
+// The removal criterion runs on every judged edge, so its cost is kept low,
+// cheapest check first. An edge with 2·min(ku, kv)+3 <= max(ku, kv) cannot
+// pass (|common| <= min(ku, kv)), so it is rejected before any merge. The
+// overlay connectivity guard asks graph.HasCommonSorted for existence, which
+// stops at the first shared neighbor. The common-neighbor list comes from a
+// branch-free merge, O(ku+kv). RemovableTheorem5 stops reading cached
+// degrees as soon as the unread members cannot change its verdict.
 package core
 
 import "rewire/internal/graph"
@@ -57,11 +65,27 @@ type DegreeCache interface {
 //
 // With an empty N* this degenerates to Theorem 3 exactly, so callers can use
 // it unconditionally. A nil cache is treated as empty.
+//
+// The cache is read one common neighbor at a time, and the loop stops as
+// soon as the unread members can no longer change the verdict: each of them
+// adds 1 or 2 to the doubled bonus if it joins N*, or 1 to rest otherwise,
+// and 2⌈x/2⌉ lies in [x, x+1].
 func RemovableTheorem5(common []graph.NodeID, ku, kv int, cache DegreeCache) bool {
+	maxDeg := max(ku, kv)
 	nStar := 0
 	bonus := 0 // Σ (4 - kw), kept doubled like the rest of the comparison
 	if cache != nil {
-		for _, w := range common {
+		for i, w := range common {
+			// Before reading common[i], the final doubled left side lies in
+			// [seen + unread + 2 + bonus, seen + 3 + bonus + 2·unread], where
+			// seen counts the members read so far that are outside N*.
+			seen, unread := i-nStar, len(common)-i
+			if seen+unread+2+bonus > maxDeg {
+				return true
+			}
+			if seen+3+bonus+2*unread <= maxDeg {
+				return false
+			}
 			kw, ok := cache.CachedDegree(w)
 			if ok && kw >= 2 && kw <= 3 {
 				nStar++
@@ -69,14 +93,16 @@ func RemovableTheorem5(common []graph.NodeID, ku, kv int, cache DegreeCache) boo
 			}
 		}
 	}
-	maxDeg := ku
-	if kv > maxDeg {
-		maxDeg = kv
-	}
 	rest := len(common) - nStar
 	// 2*(⌈rest/2⌉ + 1) + bonus > maxDeg.
 	return 2*((rest+1)/2+1)+bonus > maxDeg
 }
+
+// prunable reports whether no edge with endpoint degrees ku and kv can pass
+// Removable, before its common neighbors are even intersected: |common| is
+// at most min(ku, kv), and Removable rejects whenever 2|common|+3 <=
+// max(ku, kv).
+func prunable(ku, kv int) bool { return 2*min(ku, kv)+3 <= max(ku, kv) }
 
 // Removable combines both certificates: an edge is removable when Theorem 3
 // fires on the counts alone, or Theorem 5 fires with cached degree

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"rewire/internal/graph"
+	"rewire/internal/rng"
 )
 
 func TestRemovableTheorem3Examples(t *testing.T) {
@@ -125,6 +126,84 @@ func TestRemovableTheorem5IgnoresHighDegreeNeighbors(t *testing.T) {
 	cacheLow := mapDegreeCache{1: 1, 2: 1}
 	if RemovableTheorem5(common, 5, 5, cacheLow) != RemovableTheorem3(2, 5, 5) {
 		t.Error("degree-1 cached neighbors must not change the verdict")
+	}
+}
+
+// theorem5Full is RemovableTheorem5 without the early exit: it reads the
+// cache for every common neighbor and then evaluates the formula once.
+func theorem5Full(common []graph.NodeID, ku, kv int, cache DegreeCache) bool {
+	nStar, bonus := 0, 0
+	for _, w := range common {
+		if kw, ok := cache.CachedDegree(w); ok && kw >= 2 && kw <= 3 {
+			nStar++
+			bonus += 4 - kw
+		}
+	}
+	rest := len(common) - nStar
+	return 2*((rest+1)/2+1)+bonus > max(ku, kv)
+}
+
+// countingCache is a mapDegreeCache that counts its reads.
+type countingCache struct {
+	m     mapDegreeCache
+	reads int
+}
+
+func (c *countingCache) CachedDegree(v graph.NodeID) (int, bool) {
+	c.reads++
+	return c.m.CachedDegree(v)
+}
+
+// TestRemovableTheorem5EarlyExitExact checks that stopping the cache reads
+// once the verdict is decided changes no verdict, under random common
+// lists, endpoint degrees around the decision boundary, and cached-degree
+// maps of every density, and that no member is read twice.
+func TestRemovableTheorem5EarlyExitExact(t *testing.T) {
+	check := func(seed uint64, n, ku, kv, density uint8) bool {
+		r := rng.New(seed)
+		common := make([]graph.NodeID, int(n)%40)
+		m := mapDegreeCache{}
+		for i := range common {
+			common[i] = graph.NodeID(3*i + r.Intn(3))
+			if r.Intn(8) < int(density%9) {
+				m[common[i]] = 1 + r.Intn(5) // degrees 1..5: in N* or not
+			}
+		}
+		span := uint8(2*len(common) + 8)
+		du, dv := int(ku%span), int(kv%span)
+		cache := &countingCache{m: m}
+		if RemovableTheorem5(common, du, dv, cache) != theorem5Full(common, du, dv, m) {
+			t.Logf("common %v, cache %v, ku %d, kv %d", common, m, du, dv)
+			return false
+		}
+		return cache.reads <= len(common)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPrunableRejectsEveryCommonList checks the sampler's pre-merge prune:
+// when it fires, no common list that fits both endpoints (at most min(ku,
+// kv) members) passes Removable, whatever the cache says.
+func TestPrunableRejectsEveryCommonList(t *testing.T) {
+	all := mapDegreeCache{}
+	for v := graph.NodeID(0); v < 64; v++ {
+		all[v] = 2 // the largest Theorem 5 bonus per member
+	}
+	for ku := 0; ku < 40; ku++ {
+		for kv := 0; kv < 40; kv++ {
+			if !prunable(ku, kv) {
+				continue
+			}
+			common := make([]graph.NodeID, min(ku, kv))
+			for i := range common {
+				common[i] = graph.NodeID(i)
+			}
+			if Removable(common, ku, kv, all) || Removable(common, ku, kv, nil) {
+				t.Errorf("prunable(%d, %d) but %d common neighbors pass", ku, kv, len(common))
+			}
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"rewire/internal/graph"
 	"rewire/internal/rng"
 	"rewire/internal/walk"
@@ -163,6 +165,9 @@ type Sampler struct {
 	// the criterion only reads the intersection, so one buffer per sampler
 	// keeps the steady-state step allocation-free.
 	scratch []graph.NodeID
+	// idx is classifyIncident's reusable permutation of incident-edge
+	// indices.
+	idx []int
 }
 
 // neighborCache is the optional source capability the Theorem 5 path needs:
@@ -346,12 +351,22 @@ func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) bool
 		}
 	}
 	if s.cfg.Criterion == EvalOverlay {
+		if prunable(len(uOv), len(vOv)) {
+			return false
+		}
 		s.scratch = graph.IntersectSortedInto(s.scratch, uOv, vOv)
 		return Removable(s.scratch, len(uOv), len(vOv), s.cache)
 	}
 	// EvalOriginal: static criterion on the neighborhoods the queries
-	// returned; connectivity guard on the overlay.
-	if graph.CountIntersectSorted(uOv, vOv) < 1 {
+	// returned; connectivity guard on the overlay. The prune on the base
+	// degrees rejects whatever the guard says, so it runs first, and it is
+	// static, so recomputing it is cheaper than storing a verdict.
+	ub := s.ov.base.Neighbors(u) // cached: the walk already paid for both
+	vb := s.ov.base.Neighbors(v)
+	if prunable(len(ub), len(vb)) {
+		return false
+	}
+	if !graph.HasCommonSorted(uOv, vOv) {
 		return false
 	}
 	k := graph.KeyOf(u, v)
@@ -360,8 +375,6 @@ func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) bool
 			return false // cached negative
 		}
 	}
-	ub := s.ov.base.Neighbors(u) // cached: the walk already paid for both
-	vb := s.ov.base.Neighbors(v)
 	s.scratch = graph.IntersectSortedInto(s.scratch, ub, vb)
 	fires := Removable(s.scratch, len(ub), len(vb), s.cache)
 	if !fires && s.verdicts != nil {
@@ -441,13 +454,14 @@ func (s *Sampler) classifyIncident(v graph.NodeID, sample int) int {
 	if deg <= 1 || !s.cfg.EnableRemoval {
 		return deg
 	}
-	idx := make([]int, deg)
+	idx := slices.Grow(s.idx[:0], deg)[:deg]
+	s.idx = idx
 	for i := range idx {
 		idx[i] = i
 	}
 	tested := deg
 	if sample >= 0 && sample < deg {
-		s.rng.Shuffle(deg, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		s.rng.ShuffleInts(idx) // the same draws and swaps as Shuffle(deg, ...)
 		tested = sample
 		if tested == 0 {
 			return deg

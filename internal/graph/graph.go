@@ -6,7 +6,8 @@
 //
 // Node identifiers are dense int32 values in [0, N). Sorted neighbor slices
 // make membership tests O(log d) and common-neighborhood intersection — the
-// heart of the paper's Theorem 3 removal criterion — O(d_u + d_v).
+// heart of the paper's Theorem 3 removal criterion — a branch-free merge in
+// O(d_u + d_v) (see intersect.go).
 package graph
 
 import (
@@ -170,50 +171,6 @@ func (g *Graph) CommonNeighbors(u, v NodeID) []NodeID {
 // CountCommonNeighbors returns |N(u) ∩ N(v)| without allocating.
 func (g *Graph) CountCommonNeighbors(u, v NodeID) int {
 	return CountIntersectSorted(g.Neighbors(u), g.Neighbors(v))
-}
-
-// IntersectSorted intersects two ascending NodeID slices.
-func IntersectSorted(a, b []NodeID) []NodeID {
-	return IntersectSortedInto(nil, a, b)
-}
-
-// IntersectSortedInto is IntersectSorted appending into dst[:0], so a caller
-// on a hot path can reuse one scratch buffer instead of allocating per call
-// (the walk inner loop's zero-allocation steady state depends on this).
-func IntersectSortedInto(dst, a, b []NodeID) []NodeID {
-	out := dst[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// CountIntersectSorted counts the intersection size of two ascending slices.
-func CountIntersectSorted(a, b []NodeID) int {
-	n, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
 }
 
 // ContainsSorted reports whether x occurs in the ascending slice lst.
