@@ -316,6 +316,69 @@ func BenchmarkMTOStep(b *testing.B) {
 	}
 }
 
+// BenchmarkMTOStepViaClient is BenchmarkMTOStep over the stack a Session
+// builds: the overlay reads a warm osn.Client through a walk.Bound, so each
+// step also pays the Bound and cache-hit layers.
+func BenchmarkMTOStepViaClient(b *testing.B) {
+	g := exp.SmallDatasets()[0].Graph
+	ov := core.NewOverlay(walk.NewBound(warmClient(b, g)))
+	s := core.NewSamplerOn(ov, 0, core.DefaultConfig(), rng.New(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
+var sinkList []graph.NodeID
+
+// BenchmarkOverlayNeighbors times one Overlay.Neighbors read over a warm
+// client: a hit on a materialized list, and a first read (miss) of a node
+// without and with a rewiring delta. The miss rows read every node once per
+// fresh overlay, built with the timer stopped; miss_delta restores a delta
+// that removes one edge at every node.
+func BenchmarkOverlayNeighbors(b *testing.B) {
+	g := exp.SmallDatasets()[0].Graph
+	client := warmClient(b, g)
+	n := g.NumNodes()
+	var removed []graph.EdgeKey
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		if nb := g.Neighbors(v); len(nb) > 0 {
+			removed = append(removed, graph.KeyOf(v, nb[0]))
+		}
+	}
+	b.Run("hit", func(b *testing.B) {
+		ov := core.NewOverlay(client)
+		for v := graph.NodeID(0); int(v) < n; v++ {
+			ov.Neighbors(v)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkList = ov.Neighbors(graph.NodeID(i % n))
+		}
+	})
+	for _, c := range []struct {
+		name  string
+		delta []graph.EdgeKey
+	}{{"miss_nodelta", nil}, {"miss_delta", removed}} {
+		b.Run(c.name, func(b *testing.B) {
+			var ov *core.Overlay
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%n == 0 {
+					b.StopTimer()
+					ov = core.NewOverlay(client)
+					ov.RestoreDelta(c.delta, nil, nil)
+					b.StartTimer()
+				}
+				sinkList = ov.Neighbors(graph.NodeID(i % n))
+			}
+		})
+	}
+}
+
 // warmClient returns a client over g with every node demanded once, so
 // every read below is a hit.
 func warmClient(b *testing.B, g *graph.Graph) *osn.Client {

@@ -17,20 +17,27 @@ import (
 //
 // The overlay never mutates the base; it is the third party's bookkeeping.
 //
-// Overlay is safe for concurrent use, and its storage is sharded
-// (internal/store): the edge-delta sets and the materialized-list cache live
-// in power-of-two-sharded maps, so fleet walkers reading different nodes'
-// overlay lists never touch the same lock. A single RWMutex (mu) still
-// serializes *mutations* against list materialization — edits are rare next
-// to reads, and cross-key atomicity (a removal touches both endpoints' lists
-// plus a delta set) is exactly what per-key shard locks cannot give — but
-// the hot path, re-reading an already-materialized list, is one shard
-// read-lock away and never blocks on mu. Materialized lists are carved from
-// a slab arena (one allocation amortizes hundreds of lists) and are
-// immutable snapshots with clipped capacity: invalidation replaces them
-// rather than editing them in place, so holding one across a concurrent
-// mutation is safe, and appending to one reallocates instead of corrupting
-// the arena.
+// Overlay is safe for concurrent use (internal/store). Materialized lists
+// live in a store.Table indexed by node id, so the hot path — re-reading an
+// already-materialized list — is a few atomic loads with no lock and no
+// hashing, and never blocks on mu. The edge-delta sets live in
+// power-of-two-sharded maps. A single RWMutex (mu) serializes *mutations*
+// against list materialization: edits are rare next to reads, and cross-key
+// atomicity (a removal touches both endpoints' lists plus a delta set) is
+// exactly what per-key locks cannot give. A mutation clears the touched
+// nodes' table slots under mu; materialization republishes under mu's read
+// lock.
+//
+// A node without a rewiring delta shares its base list (clipped to
+// base[:n:n]); a node with one gets a copy carved from a slab arena (one
+// allocation amortizes hundreds of lists). Either way the list is an
+// immutable snapshot with clipped capacity: invalidation replaces it rather
+// than editing it in place, so holding one across a concurrent mutation is
+// safe, and appending to one reallocates instead of corrupting the arena or
+// the base row. The table's per-node entries are carved from a slab too, so
+// publishing allocates nothing in steady state. Ids outside
+// [0, store.TableLimit) are not cached: their lists are materialized on
+// every read.
 type Overlay struct {
 	base walk.Source
 	// pf is the base's prefetch capability (nil when the base cannot warm
@@ -59,10 +66,13 @@ type Overlay struct {
 	// shard-lock acquisitions on the sharded removed set; the common case
 	// (no removals at v) is one empty map read.
 	removedAdj map[graph.NodeID][]graph.NodeID
-	// lists caches materialized overlay neighbor lists, invalidated on
-	// mutation of either endpoint. A hit never takes mu.
-	lists *store.Map[graph.NodeID, []graph.NodeID]
-	// arena backs the materialized lists' storage.
+	// lists caches materialized overlay neighbor lists, cleared on
+	// mutation of either endpoint. A hit never takes mu. The table's
+	// entries are carved from the entries arena and never written again
+	// once published: a reader may still hold a cleared one.
+	lists   store.Table[graph.NodeID, []graph.NodeID]
+	entries *store.Arena[[]graph.NodeID]
+	// arena backs the storage of lists that differ from the base list.
 	arena *store.Arena[graph.NodeID]
 	// usedPivots records nodes that already hosted a Theorem 4 replacement.
 	// It lives on the overlay — not the sampler — so the one-replacement-
@@ -72,14 +82,20 @@ type Overlay struct {
 	usedPivots map[graph.NodeID]struct{}
 }
 
+// entrySlabLen is the slab capacity, in list headers, of the arena the
+// list table's entries are carved from: one 24 KiB allocation per 1024
+// publishes.
+const entrySlabLen = 1 << 10
+
 // NewOverlay wraps base with an empty delta (default shard count).
 func NewOverlay(base walk.Source) *Overlay {
 	return NewOverlayShards(base, 0)
 }
 
-// NewOverlayShards wraps base with an empty delta whose sharded stores use n
-// shards (rounded up to a power of two; n <= 0 selects store.DefaultShards,
-// n == 1 the legacy single-lock layout).
+// NewOverlayShards wraps base with an empty delta whose edge-delta sets use
+// n shards (rounded up to a power of two; n <= 0 selects
+// store.DefaultShards, n == 1 the legacy single-lock layout). The
+// materialized-list table is not sharded: its reads take no lock.
 func NewOverlayShards(base walk.Source, n int) *Overlay {
 	pf, _ := base.(walk.PrefetchSource)
 	failer, _ := base.(walk.Failing)
@@ -91,7 +107,7 @@ func NewOverlayShards(base walk.Source, n int) *Overlay {
 		added:      store.NewMap[graph.EdgeKey, struct{}](n),
 		addedAdj:   make(map[graph.NodeID][]graph.NodeID),
 		removedAdj: make(map[graph.NodeID][]graph.NodeID),
-		lists:      store.NewMap[graph.NodeID, []graph.NodeID](n),
+		entries:    store.NewArena[[]graph.NodeID](entrySlabLen),
 		arena:      store.NewArena[graph.NodeID](0),
 		usedPivots: make(map[graph.NodeID]struct{}),
 	}
@@ -100,26 +116,23 @@ func NewOverlayShards(base walk.Source, n int) *Overlay {
 // Base returns the wrapped source.
 func (o *Overlay) Base() walk.Source { return o.base }
 
-// StoreShards returns the overlay's shard count.
-func (o *Overlay) StoreShards() int { return o.lists.Shards() }
-
 // Neighbors returns v's overlay neighbor list (sorted; an immutable snapshot
 // owned by the overlay — do not modify its elements). Reading it may cost a
 // query on the underlying client for v's base list — the same query any walk
 // positioned at v must pay anyway.
 func (o *Overlay) Neighbors(v graph.NodeID) []graph.NodeID {
-	if lst, ok := o.lists.Get(v); ok {
-		return lst
+	if p := o.lists.Load(v); p != nil {
+		return *p
 	}
-	// Warm the base cache BEFORE taking the overlay lock: on a fresh node
+	// Read the base list BEFORE taking the overlay lock: on a fresh node
 	// the base read is the expensive part (a real provider round-trip
 	// through the client), and holding the overlay lock across it would
 	// serialize the whole fleet behind one walker's network wait. Base
-	// lists are immutable per node, so the early fetch is safe; the
-	// materialization below re-reads it as a cache hit.
-	o.base.Neighbors(v)
+	// lists are immutable per node, so materialization below can use this
+	// read instead of repeating it.
+	base := o.base.Neighbors(v)
 	if o.failed() {
-		// The warm-up read was aborted (cancellation, deadline, budget):
+		// The base read was aborted (cancellation, deadline, budget):
 		// return nil like an absorbing read, WITHOUT materializing — caching
 		// a truncated list here would corrupt every later run over this
 		// overlay.
@@ -131,7 +144,7 @@ func (o *Overlay) Neighbors(v graph.NodeID) []graph.NodeID {
 	// publish.
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	return o.materializeLocked(v)
+	return o.materializeLocked(v, base)
 }
 
 // failed reports whether the base source is currently in a failed state
@@ -144,7 +157,10 @@ func (o *Overlay) failed() bool {
 // cachedList returns v's materialized overlay list if one exists, without
 // triggering materialization (and therefore without any base query).
 func (o *Overlay) cachedList(v graph.NodeID) ([]graph.NodeID, bool) {
-	return o.lists.Get(v)
+	if p := o.lists.Load(v); p != nil {
+		return *p, true
+	}
+	return nil, false
 }
 
 // Degree returns v's overlay degree.
@@ -193,8 +209,8 @@ func (o *Overlay) removeEdgeLocked(u, v graph.NodeID) {
 		// stay exact.
 		return
 	}
-	o.lists.Delete(u)
-	o.lists.Delete(v)
+	o.lists.Clear(u)
+	o.lists.Clear(v)
 }
 
 // AddEdge inserts (u, v) into the overlay: any removal mark is cleared, and
@@ -217,8 +233,8 @@ func (o *Overlay) addEdgeLocked(u, v graph.NodeID) {
 		o.removedAdj[u] = without(o.removedAdj[u], v)
 		o.removedAdj[v] = without(o.removedAdj[v], u)
 	}
-	o.lists.Delete(u)
-	o.lists.Delete(v)
+	o.lists.Clear(u)
+	o.lists.Clear(v)
 	if graph.ContainsSorted(o.base.Neighbors(u), v) {
 		return // present in the base; clearing the removal mark restored it
 	}
@@ -238,42 +254,56 @@ func (o *Overlay) ReplaceEdge(u, p, w graph.NodeID) {
 	o.addEdgeLocked(u, w)
 }
 
-// materializeLocked returns v's current overlay list, building it with mu
-// held (shared by the read path, exclusive inside guarded mutations —
-// either way the delta sets are frozen). Callers must only reach here for
-// nodes whose base neighborhood is already cached by the client (the sampler
-// guarantees that: it queries a node before judging its edges), so the base
-// read never blocks on a provider round-trip while the lock is held.
-func (o *Overlay) materializeLocked(v graph.NodeID) []graph.NodeID {
-	if lst, ok := o.lists.Get(v); ok {
-		return lst
+// listLocked returns v's current overlay list with mu held (shared by the
+// read path, exclusive inside guarded mutations — either way the delta sets
+// are frozen). Callers must only reach here for nodes whose base
+// neighborhood is already cached by the client (the sampler guarantees
+// that: it queries a node before judging its edges), so a base read never
+// blocks on a provider round-trip while the lock is held.
+func (o *Overlay) listLocked(v graph.NodeID) []graph.NodeID {
+	if p := o.lists.Load(v); p != nil {
+		return *p
 	}
-	base := o.base.Neighbors(v)
-	extra := o.addedAdj[v]
-	lst := o.arena.Alloc(len(base) + len(extra))
-	if gone := o.removedAdj[v]; len(gone) == 0 {
-		lst = append(lst, base...)
+	return o.materializeLocked(v, o.base.Neighbors(v))
+}
+
+// materializeLocked is listLocked for a caller that has already read v's
+// base list.
+func (o *Overlay) materializeLocked(v graph.NodeID, base []graph.NodeID) []graph.NodeID {
+	if p := o.lists.Load(v); p != nil {
+		return *p
+	}
+	gone, extra := o.removedAdj[v], o.addedAdj[v]
+	var lst []graph.NodeID
+	if len(gone) == 0 && len(extra) == 0 {
+		// No delta at v: the overlay list is the base list. Clip its
+		// capacity so an appending caller reallocates instead of writing
+		// into the next base row.
+		lst = base[:len(base):len(base)]
 	} else {
+		lst = o.arena.Alloc(len(base) + len(extra))
 		for _, w := range base {
 			if !containsUnsorted(gone, w) {
 				lst = append(lst, w)
 			}
 		}
+		if len(extra) > 0 {
+			lst = append(lst, extra...)
+			slices.Sort(lst)
+		}
+		// Clip as above, against the arena cells reserved for this list.
+		lst = lst[:len(lst):len(lst)]
 	}
-	if len(extra) > 0 {
-		lst = append(lst, extra...)
-		slices.Sort(lst)
-	}
-	// Clip the snapshot's capacity: a caller that appends to it reallocates
-	// instead of scribbling over the arena cells reserved for this list.
-	lst = lst[:len(lst):len(lst)]
-	if o.failed() {
+	if o.failed() || !o.lists.Covers(v) {
 		// The base read may have been truncated by a cancelled run: hand the
 		// caller a best-effort list (errors fail toward no mutation in the
-		// guarded commits) but do not cache it past the failure.
+		// guarded commits) but do not cache it past the failure. Ids the
+		// table does not cover are materialized on every read.
 		return lst
 	}
-	o.lists.Put(v, lst)
+	e := o.entries.Alloc(1)[:1]
+	e[0] = lst
+	o.lists.Publish(v, &e[0])
 	return lst
 }
 
@@ -296,11 +326,11 @@ func (o *Overlay) RemoveEdgeGuarded(u, v graph.NodeID, minU, minV int, requireCo
 		// the caller judged a same-keyed base edge on a stale snapshot.
 		return false
 	}
-	uLst := o.materializeLocked(u)
+	uLst := o.listLocked(u)
 	if !graph.ContainsSorted(uLst, v) {
 		return false // already gone (another walker won the race)
 	}
-	vLst := o.materializeLocked(v)
+	vLst := o.listLocked(v)
 	if len(uLst) <= minU || len(vLst) <= minV {
 		return false
 	}
@@ -327,11 +357,11 @@ func (o *Overlay) ReplaceEdgeGuarded(u, p, w graph.NodeID, claimPivot bool) bool
 			return false
 		}
 	}
-	uLst := o.materializeLocked(u)
+	uLst := o.listLocked(u)
 	if !graph.ContainsSorted(uLst, p) || graph.ContainsSorted(uLst, w) || u == w {
 		return false
 	}
-	pLst := o.materializeLocked(p)
+	pLst := o.listLocked(p)
 	if !ReplaceablePivot(len(pLst)) || !graph.ContainsSorted(pLst, w) {
 		return false // pivot degree changed, or w is no longer p's neighbor
 	}
@@ -393,7 +423,8 @@ func (o *Overlay) Delta() (removed, added []graph.EdgeKey, pivots []graph.NodeID
 // adjacency mirrors directly, so restoration issues no base queries (the
 // public mutators consult base neighborhoods, which over a cold provider
 // would spend budget). Call it only on an empty overlay, before any walker
-// runs; the materialized-list cache is dropped so lists rebuild lazily.
+// runs; the touched nodes' materialized lists are cleared so they rebuild
+// lazily.
 func (o *Overlay) RestoreDelta(removed, added []graph.EdgeKey, pivots []graph.NodeID) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -405,8 +436,8 @@ func (o *Overlay) RestoreDelta(removed, added []graph.EdgeKey, pivots []graph.No
 		o.removed.Put(k, struct{}{})
 		o.removedAdj[u] = append(o.removedAdj[u], v)
 		o.removedAdj[v] = append(o.removedAdj[v], u)
-		o.lists.Delete(u)
-		o.lists.Delete(v)
+		o.lists.Clear(u)
+		o.lists.Clear(v)
 	}
 	for _, k := range added {
 		if o.added.Contains(k) {
@@ -416,8 +447,8 @@ func (o *Overlay) RestoreDelta(removed, added []graph.EdgeKey, pivots []graph.No
 		o.added.Put(k, struct{}{})
 		o.addedAdj[u] = append(o.addedAdj[u], v)
 		o.addedAdj[v] = append(o.addedAdj[v], u)
-		o.lists.Delete(u)
-		o.lists.Delete(v)
+		o.lists.Clear(u)
+		o.lists.Clear(v)
 	}
 	for _, p := range pivots {
 		o.usedPivots[p] = struct{}{}

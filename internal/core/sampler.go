@@ -256,8 +256,8 @@ func (s *Sampler) Overlay() *Overlay { return s.ov }
 // capability a fleet uses to retire the sampler instead of spinning on
 // absorbing nil reads.
 func (s *Sampler) Err() error {
-	if f, ok := s.ov.base.(walk.Failing); ok {
-		return f.Err()
+	if s.ov.failer != nil {
+		return s.ov.failer.Err()
 	}
 	return nil
 }
@@ -331,27 +331,29 @@ func (s *Sampler) Step() graph.NodeID {
 
 // removableEdge applies the removal criterion to the edge (u, v), where
 // uOv and vOv are the endpoints' current overlay neighbor lists. Guards
-// (both overlay degrees >= 2; under EvalOriginal additionally >= 1 common
-// overlay neighbor) ensure a removal never strands a node or disconnects
-// the overlay.
+// (both overlay degrees >= 2 and above the degree floor; under EvalOriginal
+// additionally >= 1 common overlay neighbor) ensure a removal never strands
+// a node or disconnects the overlay. Every check only rejects, so they run
+// cheapest first: the degree tests, then the connectivity guard, then the
+// added-edge probe (a shard lock), then the merge.
 func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) bool {
 	if len(uOv) <= 1 || len(vOv) <= 1 {
 		return false
 	}
-	// Theorems 3/5 certify edges of the *original* graph. Overlay additions
-	// came from Theorem 4 replacements precisely because they are likely
-	// cross-cutting; removing them again would silently undo the rewiring
-	// (and, iterated with replacement, grind the overlay down to a tree).
-	if s.ov.IsAdded(u, v) {
-		return false
+	// The base lists set the degree floors and, under EvalOriginal, the
+	// criterion itself. Both are cached: the walk already paid for them.
+	var ub, vb []graph.NodeID
+	if s.cfg.DegreeFloor > 0 || s.cfg.Criterion == EvalOriginal {
+		ub = s.ov.base.Neighbors(u)
+		vb = s.ov.base.Neighbors(v)
 	}
 	if s.cfg.DegreeFloor > 0 {
-		if len(uOv) <= s.floorOf(u) || len(vOv) <= s.floorOf(v) {
+		if len(uOv) <= s.floorFor(len(ub)) || len(vOv) <= s.floorFor(len(vb)) {
 			return false
 		}
 	}
 	if s.cfg.Criterion == EvalOverlay {
-		if prunable(len(uOv), len(vOv)) {
+		if prunable(len(uOv), len(vOv)) || s.ov.IsAdded(u, v) {
 			return false
 		}
 		s.scratch = graph.IntersectSortedInto(s.scratch, uOv, vOv)
@@ -359,14 +361,16 @@ func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) bool
 	}
 	// EvalOriginal: static criterion on the neighborhoods the queries
 	// returned; connectivity guard on the overlay. The prune on the base
-	// degrees rejects whatever the guard says, so it runs first, and it is
-	// static, so recomputing it is cheaper than storing a verdict.
-	ub := s.ov.base.Neighbors(u) // cached: the walk already paid for both
-	vb := s.ov.base.Neighbors(v)
-	if prunable(len(ub), len(vb)) {
+	// degrees is static, so recomputing it is cheaper than storing a
+	// verdict.
+	if prunable(len(ub), len(vb)) || !graph.HasCommonSorted(uOv, vOv) {
 		return false
 	}
-	if !graph.HasCommonSorted(uOv, vOv) {
+	// Theorems 3/5 certify edges of the *original* graph. Overlay additions
+	// came from Theorem 4 replacements precisely because they are likely
+	// cross-cutting; removing them again would silently undo the rewiring
+	// (and, iterated with replacement, grind the overlay down to a tree).
+	if s.ov.IsAdded(u, v) {
 		return false
 	}
 	k := graph.KeyOf(u, v)
@@ -397,16 +401,17 @@ func (s *Sampler) pivotAvailable(v graph.NodeID) bool {
 // |N(u)| >= 1.
 func (s *Sampler) minKeep(u graph.NodeID) int {
 	if s.cfg.DegreeFloor > 0 {
-		return s.floorOf(u)
+		// Base neighborhoods are cached for every node the walk touches,
+		// so this never issues a query.
+		return s.floorFor(len(s.ov.base.Neighbors(u)))
 	}
 	return 1
 }
 
-// floorOf returns the minimum overlay degree node u must keep:
-// max(2, ⌈DegreeFloor · base degree⌉). Base neighborhoods are cached for
-// every node the walk touches, so this never issues a query.
-func (s *Sampler) floorOf(u graph.NodeID) int {
-	f := int(s.cfg.DegreeFloor*float64(len(s.ov.base.Neighbors(u))) + 0.999999)
+// floorFor returns the minimum overlay degree a node of base degree k must
+// keep: max(2, ⌈DegreeFloor · k⌉).
+func (s *Sampler) floorFor(k int) int {
+	f := int(s.cfg.DegreeFloor*float64(k) + 0.999999)
 	if f < 2 {
 		f = 2
 	}

@@ -561,6 +561,11 @@ func (c *Client) QueryBatchContext(ctx context.Context, ids []graph.NodeID) ([]R
 // returned instead of swallowed, which is what lets a cancelled walk
 // distinguish "isolated node" from "aborted query".
 func (c *Client) NeighborsContext(ctx context.Context, v graph.NodeID) ([]graph.NodeID, error) {
+	// A demanded hit reads the list from the table, skipping
+	// QueryContext's by-value Response copy.
+	if r := c.demanded.Load(v); r != nil {
+		return r.Neighbors, nil
+	}
 	resp, err := c.QueryContext(ctx, v)
 	if err != nil {
 		return nil, err

@@ -9,9 +9,10 @@ import "sync"
 const DefaultSlabLen = 1 << 16
 
 // Arena carves many short slices out of few large slabs. It is the allocator
-// behind the overlay's materialized neighbor lists: a fleet walking a fresh
-// graph materializes one list per visited node, and without the arena each
-// list is its own heap allocation (plus size-class rounding waste). With it,
+// behind the overlay's rewired neighbor lists and its list-table entries: a
+// walk rewires lists and publishes entries by the tens of thousands, and
+// without the arena each is its own heap allocation (plus size-class
+// rounding waste). With it,
 // a slab serves every list until full, then the arena forgets the slab — the
 // carved slices keep it alive, and once the last of them is dropped
 // (invalidated lists replaced by fresh ones) the GC reclaims the whole slab.

@@ -14,15 +14,17 @@
 //     sequences (the osn client's per-node singleflight with demand-counted
 //     billing) run under a single shard lock via Locked/RLocked, so the
 //     engine supports per-shard singleflight without a global mutex.
-//   - Table is a publish-once table indexed by dense integer keys, with
-//     lock-free reads: the osn client moves an entry there once it can never
-//     change again (a demanded response), so the hottest read in the system —
-//     the Theorem 5 criterion's free degree lookups — is a few atomic loads
-//     with no lock and no hashing.
+//   - Table is indexed by dense integer keys, with lock-free reads: a few
+//     atomic loads with no lock and no hashing. The osn client moves an
+//     entry there once it can never change again (a demanded response), so
+//     the Theorem 5 criterion's free degree lookups are lock-free; the core
+//     overlay keeps its materialized lists there and clears a node's slot
+//     when a rewiring invalidates its list.
 //   - Arena is a slab allocator for the short int32 neighbor lists the
-//     overlay materializes by the tens of thousands: one slab allocation
-//     amortizes hundreds of list allocations, and dropped lists release
-//     their slab to the GC once the last list carved from it dies.
+//     overlay materializes by the tens of thousands (and for the table
+//     entries that point at them): one slab allocation amortizes hundreds
+//     of list allocations, and dropped lists release their slab to the GC
+//     once the last list carved from it dies.
 //
 // Shard counts are powers of two so the shard index is a mask, not a modulo,
 // and keys are mixed through a 64-bit finalizer first — dense NodeIDs would

@@ -28,22 +28,29 @@ type tableDir[V any] struct {
 	pages []atomic.Pointer[tablePage[V]]
 }
 
-// Table is a publish-once table indexed by a dense non-negative integer
-// key, built for the osn client's demanded cache entries: once a value is
-// published under a key it is never replaced or removed, so a read needs no
-// lock and no hashing — a directory load, a page load and a slot load, all
-// atomic. Writers (Publish) serialize on one mutex only to install a page or
-// grow the directory, which is copied on write; filling a slot of an
-// existing page is a single atomic store.
+// Table is a table indexed by a dense non-negative integer key whose reads
+// take no lock and no hashing — a directory load, a page load and a slot
+// load, all atomic. Writers serialize on one mutex only to install a page or
+// grow the directory, which is copied on write; filling or clearing a slot
+// of an existing page is a single atomic store.
+//
+// Two layers use it. The osn client publishes each demanded cache entry once
+// and never replaces or clears it, so the Theorem 5 criterion's free degree
+// lookups are lock-free. The core overlay publishes materialized neighbor
+// lists and clears a node's slot when a rewiring invalidates its list; a
+// reader that loaded the old pointer keeps a valid (stale) value, so
+// published values must be immutable.
 //
 // Memory is about 8 bytes per slot of every touched 256-key page plus 8
 // bytes per directory entry, so the table is compact exactly when the keys
 // it holds are dense, as node ids in [0, NumUsers) are.
 //
 // The zero value is an empty table ready for use. Table is safe for
-// concurrent use. It does not enforce publish-once: a second Publish of a
-// key replaces its value, so callers order the publishes of one key
-// themselves (the osn client publishes under the key's shard lock).
+// concurrent use. It does not order writes to one key: a second Publish of
+// a key replaces its value and Clear removes it, so callers serialize the
+// writes of one key themselves (the osn client publishes under the key's
+// shard lock; the overlay clears under its write lock and publishes under
+// its read lock, where concurrent publishes of one key carry equal lists).
 type Table[K Key, V any] struct {
 	dir atomic.Pointer[tableDir[V]]
 	mu  sync.Mutex
@@ -78,6 +85,25 @@ func (t *Table[K, V]) Publish(k K, v *V) bool {
 	}
 	t.page(uint64(k) >> tablePageBits)[uint64(k)&(tablePageSize-1)].Store(v)
 	return true
+}
+
+// Clear removes k's value, so a later Load returns nil. It never installs a
+// page: clearing a key whose page was never touched, or a key outside the
+// table's range, is a no-op. It repeats Load's lookup rather than sharing
+// a helper with it, which would push Load past the compiler's inlining
+// budget.
+func (t *Table[K, V]) Clear(k K) {
+	d := t.dir.Load()
+	if d == nil {
+		return
+	}
+	i := uint64(k) >> tablePageBits
+	if i >= uint64(len(d.pages)) {
+		return
+	}
+	if p := d.pages[i].Load(); p != nil {
+		p[uint64(k)&(tablePageSize-1)].Store(nil)
+	}
 }
 
 // page returns page i, installing it (and growing the directory) on first

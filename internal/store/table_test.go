@@ -72,3 +72,71 @@ func TestTableConcurrentPublish(t *testing.T) {
 		}
 	}
 }
+
+func TestTableClear(t *testing.T) {
+	var tb Table[int32, string]
+	tb.Clear(5) // empty table: no directory appears
+	if tb.dir.Load() != nil {
+		t.Fatal("Clear on an empty table installed a directory")
+	}
+	a, b := "a", "b"
+	tb.Publish(3, &a)
+	d := tb.dir.Load()
+	tb.Clear(2*tablePageSize + 1) // untouched page inside the directory
+	tb.Clear(TableLimit - 1)      // beyond the directory
+	tb.Clear(-1)                  // outside the key range
+	if tb.dir.Load() != d || d.pages[2].Load() != nil {
+		t.Fatal("Clear of an untouched key installed a page or grew the directory")
+	}
+	if tb.Load(3) != &a {
+		t.Fatal("clearing other keys lost a published value")
+	}
+	tb.Clear(3)
+	if tb.Load(3) != nil {
+		t.Fatal("Load after Clear returned a value")
+	}
+	tb.Publish(3, &b)
+	if tb.Load(3) != &b {
+		t.Fatal("republish after Clear not visible")
+	}
+}
+
+// TestTableConcurrentClear races readers against a writer that publishes,
+// clears and republishes keys (run with -race): a reader sees nil or a
+// value published under that key, never another key's.
+func TestTableConcurrentClear(t *testing.T) {
+	var tb Table[int32, int32]
+	const keys, rounds = 1024, 20
+	vals := make([]int32, keys)
+	for k := range vals {
+		vals[k] = int32(k)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			for k := int32(0); k < keys; k++ {
+				tb.Publish(k*3, &vals[k])
+			}
+			for k := int32(r % 2); k < keys; k += 2 {
+				tb.Clear(k * 3)
+			}
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := int32(0); k < keys; k++ {
+					if p := tb.Load(k * 3); p != nil && *p != k {
+						t.Errorf("Load(%d) = %d", k*3, *p)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

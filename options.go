@@ -232,9 +232,9 @@ func WithPartitionedBudget(on bool) Option {
 // WithStoreShards sets the shard count of the session's storage engine —
 // the sharded maps behind the provider's query cache (which guard only
 // in-flight fetches and speculative entries: demanded responses are read
-// lock-free) and the MTO overlay's edit sets and materialized lists
-// (internal/store). n is rounded up to a power of two. The default adapts
-// to the machine: the next power of two >= 4x GOMAXPROCS, clamped to
+// lock-free) and the MTO overlay's edge-delta sets (internal/store). n is
+// rounded up to a power of two. The default adapts to the machine: the
+// next power of two >= 4x GOMAXPROCS, clamped to
 // [8, 256], so small runners stop paying for shards they cannot contend on
 // and many-core boxes get headroom without tuning. Set it explicitly for
 // very large fleets beyond the clamp, or 1 to force the legacy single-lock
